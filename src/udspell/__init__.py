@@ -1,8 +1,8 @@
 """User-dictionary guided decoding and data plumbing for Chinese spelling check.
 
 The toolkit rescores the top-k output lattice of any token-classification
-speller with a user dictionary (raw-span and altered-span matching under a
-beam search), generates error-consistent synthetic corpora from confusion
+speller with a user dictionary (raw-span and altered-span matching under an
+exact search), generates error-consistent synthetic corpora from confusion
 sets, evaluates corrections with sentence-level metrics, and ships a small
 noisy-channel scorer so the whole loop runs without a neural model.
 """

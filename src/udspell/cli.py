@@ -18,7 +18,7 @@ from . import ecm as ecm_mod
 from . import evaluate as eval_mod
 from . import scorer as scorer_mod
 from .decoder import DecodeConfig, decode_corpus, path_edits
-from .dictionary import build_ideal_dictionary, load_dictionary
+from .dictionary import UserDictionary, build_ideal_dictionary, load_dictionary
 from .errors import UdspellError
 from .lattice import PruneConfig, parse_lattice, write_lattices
 from .pinyin import default_table, load_pinyin_table
@@ -76,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=int, default=5)
     p.add_argument("--no-fuzzy", action="store_true", help="require exact tone-less pinyin matches")
     p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_build_confusion)
 
     p = sub.add_parser("gen-corpus", help="generate an error-consistent corrupted corpus")
     p.add_argument("--corpus", type=_existing_file, required=True)
@@ -85,12 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_ecm_flags(p)
     p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_gen_corpus)
 
     p = sub.add_parser("train-scorer", help="train the n-gram noisy-channel scorer")
     p.add_argument("--corpus", type=_existing_file, required=True)
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--out", required=True)
+    # opened only once training has succeeded, so not the shared output stream
+    p.add_argument("--out", dest="model_out", metavar="OUT", required=True)
+    p.set_defaults(func=_cmd_train_scorer)
 
     p = sub.add_parser("score", help="emit top-k lattices for sentences")
     p.add_argument("--model", type=_existing_file, required=True)
@@ -100,32 +104,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topk", type=int, default=5)
     p.add_argument("--p-keep", type=float, default=0.97)
     p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("decode", help="dictionary-guided beam decode of a lattice file")
+    p = sub.add_parser("decode", help="dictionary-guided exact decode of a lattice file")
     p.add_argument("--lattice", type=_existing_file, required=True)
     p.add_argument("--dict", type=_existing_file, default=None)
     p.add_argument("--eta", type=float, default=4.0)
-    p.add_argument("--beam", type=int, default=20)
     p.add_argument("--topk", type=int, default=5)
     p.add_argument("--min-logp", type=float, default=-11.0)
     p.add_argument("--max-logp", type=float, default=-0.001)
     p.add_argument("--asm-mode", choices=("covered", "altered"), default="covered")
     p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("eval", help="sentence-level metrics over an id/input/gold/pred TSV")
     p.add_argument("--records", type=_existing_file, required=True)
     p.add_argument("--style", choices=eval_mod.STYLES, default="faspell")
     p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("stats", help="dataset statistics over an id/source/target TSV")
     p.add_argument("--dataset", type=_existing_file, required=True)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("ideal-dict", help="sample gold error phrases into a dictionary")
     p.add_argument("--dataset", type=_existing_file, required=True)
     p.add_argument("--proportion", type=_proportion, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_ideal_dict)
 
     return parser
 
@@ -166,9 +174,9 @@ def _cmd_gen_corpus(args, out: IO[str]) -> None:
     ecm_mod.write_records(records, out)
 
 
-def _cmd_train_scorer(args) -> None:
+def _cmd_train_scorer(args, out: IO[str]) -> None:
     model = scorer_mod.train(_read_lines(args.corpus), order=args.order, alpha=args.alpha)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args.model_out, "w", encoding="utf-8") as fh:
         scorer_mod.save_model(model, fh)
 
 
@@ -185,13 +193,9 @@ def _cmd_score(args, out: IO[str]) -> None:
 
 
 def _cmd_decode(args, out: IO[str]) -> None:
-    if args.dict is not None:
-        dic = load_dictionary(_read_lines(args.dict))
-    else:
-        from .dictionary import EMPTY_DICTIONARY as dic  # noqa: N811
+    dic = load_dictionary(_read_lines(args.dict)) if args.dict is not None else UserDictionary(())
     cfg = DecodeConfig(
         eta=args.eta,
-        beam_size=args.beam,
         prune=PruneConfig(min_logp=args.min_logp, max_logp=args.max_logp, k=args.topk),
         asm_count_mode=args.asm_mode,
     )
@@ -218,7 +222,7 @@ def _cmd_decode(args, out: IO[str]) -> None:
         )
     summary = {
         "sentences": diag.sentence_count,
-        "avg_path_count": diag.avg_path_count,
+        "log10_avg_path_count": diag.log10_avg_path_count,
         "flips": diag.flip_count,
         "errors": len(diag.errors),
     }
@@ -227,24 +231,24 @@ def _cmd_decode(args, out: IO[str]) -> None:
         print(f"# error {lat_id}: {msg}", file=sys.stderr)
 
 
-def _cmd_eval(args) -> None:
+def _cmd_eval(args, out: IO[str]) -> None:
     records = eval_mod.read_eval_records(_read_lines(args.records))
     reports = eval_mod.all_metrics(records, style=args.style)
     if args.json:
-        print(json.dumps([r.as_dict() for r in reports]))
+        print(json.dumps([r.as_dict() for r in reports]), file=out)
     else:
-        print(f"{'level':<12}{'acc':>8}{'pre':>8}{'rec':>8}{'f1':>8}")
+        print(f"{'level':<12}{'acc':>8}{'pre':>8}{'rec':>8}{'f1':>8}", file=out)
         for r in reports:
-            print(f"{r.level:<12}{r.acc:8.4f}{r.pre:8.4f}{r.rec:8.4f}{r.f1:8.4f}")
+            print(f"{r.level:<12}{r.acc:8.4f}{r.pre:8.4f}{r.rec:8.4f}{r.f1:8.4f}", file=out)
 
 
-def _cmd_stats(args) -> None:
+def _cmd_stats(args, out: IO[str]) -> None:
     stats = eval_mod.dataset_stats(eval_mod.read_dataset(_read_lines(args.dataset)))
     if args.json:
-        print(json.dumps(stats.as_dict()))
+        print(json.dumps(stats.as_dict()), file=out)
     else:
         for k, v in stats.as_dict().items():
-            print(f"{k:<24}{v if v is not None else 'n/a'}")
+            print(f"{k:<24}{v if v is not None else 'n/a'}", file=out)
 
 
 def _cmd_ideal_dict(args, out: IO[str]) -> None:
@@ -262,22 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code == 0 else 1
     try:
         with ExitStack() as stack:
-            if args.command == "build-confusion":
-                _cmd_build_confusion(args, _out_handle(stack, args.out))
-            elif args.command == "gen-corpus":
-                _cmd_gen_corpus(args, _out_handle(stack, args.out))
-            elif args.command == "train-scorer":
-                _cmd_train_scorer(args)
-            elif args.command == "score":
-                _cmd_score(args, _out_handle(stack, args.out))
-            elif args.command == "decode":
-                _cmd_decode(args, _out_handle(stack, args.out))
-            elif args.command == "eval":
-                _cmd_eval(args)
-            elif args.command == "stats":
-                _cmd_stats(args)
-            elif args.command == "ideal-dict":
-                _cmd_ideal_dict(args, _out_handle(stack, args.out))
+            # commands without an --out stream write to stdout
+            args.func(args, _out_handle(stack, getattr(args, "out", None)))
     except UdspellError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

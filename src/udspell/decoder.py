@@ -1,4 +1,4 @@
-"""Dictionary-guided beam search over pruned lattices, plus an exhaustive
+"""Dictionary-guided exact search over pruned lattices, plus an exhaustive
 oracle decoder used for verification.
 
 A path's score is its summed candidate log-probabilities plus eta times the
@@ -7,6 +7,7 @@ character before the search starts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -19,15 +20,12 @@ from .ecm import Edit
 @dataclass(frozen=True)
 class DecodeConfig:
     eta: float = 4.0
-    beam_size: int = 20
     prune: PruneConfig = field(default_factory=PruneConfig)
     asm_count_mode: str = "covered"
 
     def __post_init__(self) -> None:
         if self.eta < 0:
             raise DecodeError(f"eta must be >= 0, got {self.eta}")
-        if self.beam_size < 1:
-            raise DecodeError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.asm_count_mode not in ("covered", "altered"):
             raise DecodeError(f"unknown asm count mode {self.asm_count_mode!r}")
 
@@ -62,14 +60,17 @@ def _reward(covered: int, altered: int, mode: str) -> int:
 
 
 class _Hyp:
-    __slots__ = ("state", "covered", "altered", "raw", "total", "parent", "token")
+    """One search prefix. ``order`` is its rank under the final pick:
+    (-total, -raw, altered count, parent's lexicographic rank, last token)."""
 
-    def __init__(self, state, covered, altered, raw, total, parent, token):
+    __slots__ = ("order", "state", "covered", "altered", "raw", "parent", "token")
+
+    def __init__(self, order, state, covered, altered, raw, parent, token):
+        self.order = order
         self.state = state
         self.covered = covered
         self.altered = altered
         self.raw = raw
-        self.total = total
         self.parent = parent
         self.token = token
 
@@ -82,54 +83,29 @@ class _Hyp:
         return "".join(reversed(out))
 
 
-def _fast_key(h: _Hyp) -> tuple:
-    # higher total, then higher raw, then fewer altered positions
-    return (-h.total, -h.raw, h.altered.bit_count())
-
-
-def _tie_key(h: _Hyp) -> tuple:
-    # full deterministic order: _fast_key plus lexicographically smallest tokens
-    return _fast_key(h) + (h.tokens(),)
-
-
-def _better(a: _Hyp, b: _Hyp) -> bool:
-    """True if a outranks b; token strings are only built on exact score ties."""
-    ka, kb = _fast_key(a), _fast_key(b)
-    if ka != kb:
-        return ka < kb
-    return a.tokens() < b.tokens()
-
-
-def _path_from_hyp(h: _Hyp, cfg: DecodeConfig) -> CorrectionPath:
-    return CorrectionPath(
-        tokens=h.tokens(),
-        raw_score=h.raw,
-        dict_score=_reward(h.covered, h.altered, cfg.asm_count_mode),
-        eta=cfg.eta,
-    )
-
-
 def decode(lat: Lattice, dic: UserDictionary, cfg: DecodeConfig | None = None) -> CorrectionPath:
-    """Beam search for the path maximizing raw score + eta * dictionary reward."""
+    """Exact search for the path maximizing raw score + eta * dictionary reward.
+
+    Ties go to the higher raw score, then to fewer altered positions, then to
+    the lexicographically smallest tokens, as in decode_exhaustive.
+    """
     cfg = cfg or DecodeConfig()
     positions = _effective_positions(lat, dic, cfg)
     ac = dic.automaton
     step = ac.step
     ends = ac.end_lengths
+    depth = ac.depth
     mode = cfg.asm_count_mode
     eta = cfg.eta
-    # future rewards depend only on the matcher state and the altered/covered
-    # bits reachable by a term still in progress
-    window = max(1, ac.max_term_len)
     input_s = lat.input
 
-    beam = [_Hyp(0, 0, 0, 0.0, 0.0, None, "")]
+    # prefixes in lexicographic order of their tokens
+    hyps = [_Hyp((), 0, 0, 0, 0.0, None, "")]
     for j, cands in enumerate(positions):
-        wshift = max(0, j + 2 - window)
-        merged: dict[tuple, _Hyp] = {}
+        merged: dict[tuple[int, int], _Hyp] = {}
         bit = 1 << j
         in_ch = input_s[j]
-        for hyp in beam:
+        for rank, hyp in enumerate(hyps):
             for tok, lp in cands:
                 altered = hyp.altered | bit if tok != in_ch else hyp.altered
                 state = step(hyp.state, tok)
@@ -140,16 +116,23 @@ def decode(lat: Lattice, dic: UserDictionary, cfg: DecodeConfig | None = None) -
                         covered |= span
                 raw = hyp.raw + lp
                 total = raw + eta * _reward(covered, altered, mode)
-                new = _Hyp(state, covered, altered, raw, total, hyp, tok)
-                key = (state, altered >> wshift, covered >> wshift)
+                order = (-total, -raw, altered.bit_count(), rank, tok)
+                # A later term reaches back at most over the suffix this state
+                # spells, whose altered bits follow from the state and the
+                # input: prefixes that agree on the state and on the covered
+                # bits of that suffix have the same futures.
+                key = (state, covered >> (j + 1 - depth[state]))
                 old = merged.get(key)
-                if old is None or _better(new, old):
-                    merged[key] = new
-        # stable sort on score keys keeps cutoff deterministic; exact
-        # lexicographic tie-breaking is applied to the completed beam below
-        beam = sorted(merged.values(), key=_fast_key)[: cfg.beam_size]
-    best = min(beam, key=_tie_key)
-    return _path_from_hyp(best, cfg)
+                if old is None or order < old.order:
+                    merged[key] = _Hyp(order, state, covered, altered, raw, hyp, tok)
+        hyps = sorted(merged.values(), key=lambda h: h.order[3:])
+    best = min(hyps, key=lambda h: h.order)
+    return CorrectionPath(
+        tokens=best.tokens(),
+        raw_score=best.raw,
+        dict_score=_reward(best.covered, best.altered, cfg.asm_count_mode),
+        eta=cfg.eta,
+    )
 
 
 DEFAULT_EXHAUSTIVE_BOUND = 10**6
@@ -207,7 +190,7 @@ def decode_exhaustive(
 @dataclass
 class CorpusDiagnostics:
     sentence_count: int = 0
-    avg_path_count: float = 0.0
+    log10_avg_path_count: float = 0.0  # path counts outgrow floats on long lattices
     flip_count: int = 0  # sentences whose output differs from the input
     errors: list[tuple[str, str]] = field(default_factory=list)  # (lattice id, message)
 
@@ -238,5 +221,5 @@ def decode_corpus(
         total_paths += candidate_path_count(lat, cfg.prune).count
         diag.flip_count += int(path.tokens != lat.input)
     if diag.sentence_count:
-        diag.avg_path_count = total_paths / diag.sentence_count
+        diag.log10_avg_path_count = math.log10(total_paths) - math.log10(diag.sentence_count)
     return results, diag

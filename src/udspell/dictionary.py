@@ -10,7 +10,7 @@ import logging
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 from .confusion import greedy_segment
 from .errors import DictionaryError
@@ -23,18 +23,19 @@ class AhoCorasick:
 
     States are integers; 0 is the root. ``step`` advances by one character
     (following failure links), ``end_lengths`` reports the lengths of every
-    term ending at the current state.
+    term ending at the current state, and ``depth[state]`` is the length of
+    the term prefix the state spells: the longest suffix of the text read so
+    far that a term occurrence can still extend.
     """
 
     def __init__(self, terms: Iterable[str]):
         self._goto: list[dict[str, int]] = [{}]
         self._fail: list[int] = [0]
         self._out: list[tuple[int, ...]] = [()]
-        self.max_term_len = 0
+        self.depth: list[int] = [0]
         for term in sorted(set(terms)):
             self._insert(term)
         self._build_links()
-        self._step_cache: dict[tuple[int, str], int] = {}
 
     def _insert(self, term: str) -> None:
         state = 0
@@ -46,9 +47,9 @@ class AhoCorasick:
                 self._goto.append({})
                 self._fail.append(0)
                 self._out.append(())
+                self.depth.append(self.depth[state] + 1)
             state = nxt
         self._out[state] = self._out[state] + (len(term),)
-        self.max_term_len = max(self.max_term_len, len(term))
 
     def _build_links(self) -> None:
         queue: deque[int] = deque()
@@ -65,17 +66,10 @@ class AhoCorasick:
                 self._out[child] = self._out[child] + self._out[self._fail[child]]
 
     def step(self, state: int, ch: str) -> int:
-        """Advance one character; memoized for the decoder's inner loop."""
-        key = (state, ch)
-        cached = self._step_cache.get(key)
-        if cached is not None:
-            return cached
-        s = state
-        while s and ch not in self._goto[s]:
-            s = self._fail[s]
-        nxt = self._goto[s].get(ch, 0)
-        self._step_cache[key] = nxt
-        return nxt
+        """Advance one character, following failure links."""
+        while state and ch not in self._goto[state]:
+            state = self._fail[state]
+        return self._goto[state].get(ch, 0)
 
     def end_lengths(self, state: int) -> tuple[int, ...]:
         return self._out[state]
@@ -111,13 +105,6 @@ class UserDictionary:
 
     def __contains__(self, term: str) -> bool:
         return term in self.terms
-
-    @property
-    def max_term_len(self) -> int:
-        return self.automaton.max_term_len
-
-
-EMPTY_DICTIONARY = UserDictionary(())
 
 
 def load_dictionary(stream: Iterable[str] | IO[str]) -> UserDictionary:

@@ -202,14 +202,3 @@ def candidate_path_count(lat: Lattice, cfg: PruneConfig | None = None) -> PathCo
         log_count += math.log(len(cands)) if cands else -math.inf
     return PathCount(count=count, log_count=log_count)
 
-
-def average_path_count(lats: Iterable[Lattice], cfg: PruneConfig | None = None) -> float:
-    """Corpus-average candidate-path count (the per-speller lattice statistic)."""
-    total = 0
-    n = 0
-    for lat in lats:
-        total += candidate_path_count(lat, cfg).count
-        n += 1
-    if n == 0:
-        raise LatticeError("cannot average over an empty lattice stream")
-    return total / n

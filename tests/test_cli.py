@@ -1,8 +1,12 @@
 import json
+import math
 
 import pytest
 
 from udspell.cli import build_parser, main
+from udspell.lattice import serialize_lattice
+
+from test_decoder import long_lattice
 
 
 @pytest.fixture
@@ -52,7 +56,7 @@ class TestParser:
         args = parser.parse_args(
             ["decode", "--lattice", str(workdir / "corpus.txt")]
         )
-        assert args.eta == 4.0 and args.beam == 20 and args.topk == 5
+        assert args.eta == 4.0 and args.topk == 5
         assert args.min_logp == -11.0 and args.max_logp == -0.001
         assert args.asm_mode == "covered"
 
@@ -141,6 +145,15 @@ class TestPipeline:
         _, without, _ = run(capsys, *common)
         outs = lambda text: [json.loads(ln)["output"] for ln in text.splitlines()]
         assert outs(with_dict) == outs(without)
+
+    def test_decode_path_count_beyond_float_range(self, workdir, capsys):
+        lat = workdir / "long.jsonl"
+        lat.write_text(serialize_lattice(long_lattice()) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "decode", "--lattice", str(lat))
+        assert code == 0
+        assert [json.loads(ln)["id"] for ln in out.splitlines()] == ["long"]
+        summary = json.loads(err.splitlines()[0].removeprefix("# "))
+        assert summary["log10_avg_path_count"] == pytest.approx(450 * math.log10(5))
 
     def test_gen_corpus_reruns_byte_identical(self, workdir, capsys):
         argv = [

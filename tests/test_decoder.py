@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from udspell.errors import DecodeError
 from udspell.lattice import (
     Candidate,
     PruneConfig,
-    candidate_path_count,
     greedy_path,
     make_lattice,
     prune,
@@ -67,17 +67,36 @@ def random_dictionary(rng, vocab=VOCAB, max_terms=5):
     return UserDictionary(terms)
 
 
+def long_lattice(n=450):
+    cands = VOCAB[:5]
+    return lat_of(cands[0] * n, [[(t, -1.0 - i) for i, t in enumerate(cands)]] * n, "long")
+
+
+def dense_lattice(rng, lattice_id):
+    """8 x 3 lattice plus 2-5-char terms spelled by its own candidates: many
+    overlapping rewarded spans, so few hypotheses share a search key."""
+    rows = []
+    for _ in range(8):
+        lps = sorted((rng.uniform(-8.0, -0.01) for _ in range(3)), reverse=True)
+        rows.append(list(zip(rng.sample(VOCAB, 3), lps)))
+    inp = "".join(row[0][0] if rng.random() < 0.7 else rng.choice(row)[0] for row in rows)
+    terms = set()
+    for _ in range(6):
+        ln = rng.randint(2, 5)
+        start = rng.randint(0, 8 - ln)
+        terms.add("".join(rng.choice(rows[j])[0] for j in range(start, start + ln)))
+    return lat_of(inp, rows, lattice_id), UserDictionary(terms)
+
+
 class TestDecodeConfig:
     def test_defaults(self):
         cfg = DecodeConfig()
-        assert (cfg.eta, cfg.beam_size) == (4.0, 20)
+        assert cfg.eta == 4.0
         assert (cfg.prune.min_logp, cfg.prune.max_logp, cfg.prune.k) == (-11.0, -0.001, 5)
 
     def test_invalid_rejected(self):
         with pytest.raises(DecodeError):
             DecodeConfig(eta=-1)
-        with pytest.raises(DecodeError):
-            DecodeConfig(beam_size=0)
         with pytest.raises(DecodeError):
             DecodeConfig(asm_count_mode="bogus")
 
@@ -128,7 +147,7 @@ class TestExhaustive:
         with pytest.raises(DecodeError):
             decode_exhaustive(lat, EMPTY, DecodeConfig(prune=PruneConfig.disabled()), max_paths=1)
 
-    def test_beam_matches_oracle(self):
+    def test_decode_matches_oracle(self):
         rng = random.Random(3)
         for i in range(150):
             lat = random_lattice(rng, lattice_id=str(i))
@@ -137,12 +156,17 @@ class TestExhaustive:
                 cfg = DecodeConfig(eta=eta)
                 b = decode(lat, dic, cfg)
                 e = decode_exhaustive(lat, dic, cfg)
-                pc = candidate_path_count(lat, cfg.prune).count
-                if cfg.beam_size >= pc:
-                    assert b.total == pytest.approx(e.total, abs=1e-12)
-                    assert b.tokens == e.tokens
-                else:
-                    assert b.total <= e.total + 1e-12
+                assert (b.tokens, b.total) == (e.tokens, e.total)
+
+    @pytest.mark.parametrize("mode", ["covered", "altered"])
+    def test_dense_lattices_match_oracle(self, mode):
+        rng = random.Random(7)
+        cfg = DecodeConfig(asm_count_mode=mode)
+        for i in range(20):
+            lat, dic = dense_lattice(rng, str(i))
+            b = decode(lat, dic, cfg)
+            e = decode_exhaustive(lat, dic, cfg)
+            assert (b.tokens, b.total) == (e.tokens, e.total), lat.id
 
 
 class TestInvariants:
@@ -189,7 +213,7 @@ class TestDecodeCorpus:
         ]
         results, diag = decode_corpus(lats, EMPTY)
         assert all(p.tokens == lat.input for lat, p in results)
-        assert diag.avg_path_count == 1.0
+        assert diag.log10_avg_path_count == 0.0
         assert diag.flip_count == 0
 
     def test_deterministic(self):
@@ -204,10 +228,16 @@ class TestDecodeCorpus:
         rng = random.Random(8)
         lats = [random_lattice(rng, lattice_id=str(i)) for i in range(100)]
         dic = random_dictionary(rng)
-        cfg = DecodeConfig(beam_size=1000)
-        oracle = [decode_exhaustive(lat, dic, cfg).tokens for lat in lats]
-        results, _ = decode_corpus(lats, dic, cfg)
+        oracle = [decode_exhaustive(lat, dic).tokens for lat in lats]
+        results, _ = decode_corpus(lats, dic)
         assert [p.tokens for _, p in results] == oracle
+
+    def test_path_count_beyond_float_range(self):
+        # 5**450 paths: the average path count no longer fits a float
+        lat = long_lattice()
+        results, diag = decode_corpus([lat], EMPTY)
+        assert [p.tokens for _, p in results] == [lat.input]
+        assert diag.log10_avg_path_count == pytest.approx(450 * math.log10(5))
 
 
 class TestPathEdits:

@@ -13,7 +13,6 @@ from udspell.lattice import (
     Lattice,
     PruneConfig,
     candidate_path_count,
-    average_path_count,
     greedy_path,
     make_lattice,
     parse_lattice,
@@ -201,8 +200,3 @@ class TestPathCount:
             ],
         )
         assert candidate_path_count(lat).count == 12
-
-    def test_corpus_average(self):
-        l1 = lat_of("a", [[("a", -1.0), ("b", -2.0)]])
-        l2 = lat_of("a", [[("a", -1.0)]])
-        assert average_path_count([l1, l2]) == pytest.approx(1.5)
