@@ -188,8 +188,8 @@ def _cmd_score(args, out: IO[str]) -> None:
         _read_lines(args.char_confusion), pinyin_table=pinyin
     )
     channel = scorer_mod.ChannelModel(confusion=char_conf, p_keep=args.p_keep)
-    lats = scorer_mod.score_corpus(_read_lines(args.input), model, channel, k=args.topk)
-    write_lattices(lats, out)
+    sentences = args.input.read_text("utf-8").splitlines()  # ids are line numbers
+    write_lattices(scorer_mod.score_corpus(sentences, model, channel, k=args.topk), out)
 
 
 def _cmd_decode(args, out: IO[str]) -> None:

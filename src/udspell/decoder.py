@@ -8,19 +8,19 @@ character before the search starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .dictionary import UserDictionary, asm_reward, rsm_fixed_positions
 from .errors import DecodeError
-from .lattice import CorrectionPath, Lattice, PruneConfig, prune
+from .lattice import CorrectionPath, Lattice, PruneConfig, candidate_path_count, prune
 from .ecm import Edit
 
 
 @dataclass(frozen=True)
 class DecodeConfig:
     eta: float = 4.0
-    prune: PruneConfig = field(default_factory=PruneConfig)
+    prune: PruneConfig | None = field(default_factory=PruneConfig)  # None: already pruned
     asm_count_mode: str = "covered"
 
     def __post_init__(self) -> None:
@@ -30,9 +30,7 @@ class DecodeConfig:
             raise DecodeError(f"unknown asm count mode {self.asm_count_mode!r}")
 
 
-def _effective_positions(
-    lat: Lattice, dic: UserDictionary, cfg: DecodeConfig
-) -> list[list[tuple[str, float]]]:
+def _effective_positions(lat: Lattice, dic: UserDictionary, cfg: DecodeConfig) -> list[tuple]:
     """Pruned candidate lists with raw-span-matched positions fixed to the input.
 
     A fixed position whose input character is absent from its candidate
@@ -41,8 +39,7 @@ def _effective_positions(
     span fixing along with the occurrence reward and the decode reduces to
     the per-position argmax.
     """
-    plat = prune(lat, cfg.prune)
-    positions = [[(c.token, c.logp) for c in cands] for cands in plat.positions]
+    positions = list((prune(lat, cfg.prune) if cfg.prune else lat).positions)
     for j, cands in enumerate(positions):
         if not cands:
             raise DecodeError(f"lattice {lat.id!r}: empty position {j} after pruning")
@@ -50,7 +47,7 @@ def _effective_positions(
         for j in rsm_fixed_positions(lat.input, dic):
             ch = lat.input[j]
             lp = next((lp for t, lp in positions[j] if t == ch), 0.0)
-            positions[j] = [(ch, lp)]
+            positions[j] = ((ch, lp),)
     return positions
 
 
@@ -203,22 +200,23 @@ def path_edits(input: str, path: str) -> list[Edit]:
 def decode_corpus(
     lats: Iterable[Lattice], dic: UserDictionary, cfg: DecodeConfig | None = None
 ) -> tuple[list[tuple[Lattice, CorrectionPath]], CorpusDiagnostics]:
-    """Decode a lattice stream; per-record failures are reported and skipped."""
-    from .lattice import candidate_path_count
-
+    """Decode a lattice stream; per-record failures are reported and skipped.
+    Each lattice is pruned once, for both the search and the path count."""
     cfg = cfg or DecodeConfig()
+    search_cfg = replace(cfg, prune=None)
     results: list[tuple[Lattice, CorrectionPath]] = []
     diag = CorpusDiagnostics()
     total_paths = 0
     for lat in lats:
+        plat = prune(lat, cfg.prune) if cfg.prune else lat
         try:
-            path = decode(lat, dic, cfg)
+            path = decode(plat, dic, search_cfg)
         except DecodeError as e:
             diag.errors.append((lat.id, str(e)))
             continue
         results.append((lat, path))
         diag.sentence_count += 1
-        total_paths += candidate_path_count(lat, cfg.prune).count
+        total_paths += candidate_path_count(plat).count
         diag.flip_count += int(path.tokens != lat.input)
     if diag.sentence_count:
         diag.log10_avg_path_count = math.log10(total_paths) - math.log10(diag.sentence_count)

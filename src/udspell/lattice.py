@@ -8,55 +8,35 @@ one record per sentence:
     {"id": "...", "input": "...", "positions": [[{"t": "x", "lp": -0.5}, ...], ...]}
 
 Candidates are canonically ordered by log-probability descending, ties by
-token code point ascending.
+token code point ascending. ``make_lattice``, through which the parser and
+the scorer build every lattice, checks it and puts it in that order in one
+pass, so positions are canonical by construction; ``prune`` derives a
+lattice from a valid one without checking it again.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from dataclasses import dataclass
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import LatticeError
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One candidate character with its natural-log probability."""
 
     token: str
     logp: float
 
-    def __post_init__(self) -> None:
-        if len(self.token) != 1:
-            raise LatticeError(f"candidate token must be one character, got {self.token!r}")
-        if not math.isfinite(self.logp) or self.logp > 0.0:
-            raise LatticeError(f"candidate logp must be finite and <= 0, got {self.logp!r}")
-
 
 @dataclass(frozen=True)
 class Lattice:
-    """Per-position top-k candidates for one input sentence."""
+    """Per-position top-k candidates for one input sentence; see make_lattice."""
 
     id: str
     input: str
     positions: tuple[tuple[Candidate, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.positions) != len(self.input):
-            raise LatticeError(
-                f"lattice {self.id!r}: {len(self.positions)} positions for "
-                f"{len(self.input)}-char input"
-            )
-        for j, cands in enumerate(self.positions):
-            tokens = [c.token for c in cands]
-            if len(set(tokens)) != len(tokens):
-                raise LatticeError(f"lattice {self.id!r}: duplicate token at position {j}")
-            for a, b in zip(cands, cands[1:]):
-                if a.logp < b.logp:
-                    raise LatticeError(
-                        f"lattice {self.id!r}: candidates not sorted at position {j}"
-                    )
 
     def __len__(self) -> int:
         return len(self.input)
@@ -103,14 +83,27 @@ class CorrectionPath:
         return self.raw_score + self.eta * self.dict_score
 
 
-def _candidate_sort_key(c: Candidate) -> tuple[float, str]:
-    return (-c.logp, c.token)
-
-
-def make_lattice(id: str, input: str, positions: Iterable[Iterable[Candidate]]) -> Lattice:
-    """Build a lattice, canonicalizing candidate order at each position."""
-    canon = tuple(tuple(sorted(p, key=_candidate_sort_key)) for p in positions)
-    return Lattice(id=id, input=input, positions=canon)
+def make_lattice(id: str, input: str, positions: Iterable[Iterable[tuple[str, float]]]) -> Lattice:
+    """Check and build a lattice from per-position ``(token, logp)`` pairs, each
+    position in canonical order. LatticeError names the first violation of: one
+    character per token, finite logp <= 0, unique tokens per position, and one
+    position per input character."""
+    canon = []
+    for j, pairs in enumerate(positions):
+        cands = []
+        for tok, lp in pairs:
+            if len(tok) != 1:
+                raise LatticeError(f"lattice {id!r}: token must be one character, got {tok!r}")
+            if not (math.isfinite(lp) and lp <= 0.0):
+                raise LatticeError(f"lattice {id!r}: logp must be finite and <= 0, got {lp!r}")
+            cands.append(Candidate(tok, lp))
+        if len({c.token for c in cands}) != len(cands):
+            raise LatticeError(f"lattice {id!r}: duplicate token at position {j}")
+        cands.sort(key=lambda c: (-c.logp, c.token))
+        canon.append(tuple(cands))
+    if len(canon) != len(input):
+        raise LatticeError(f"lattice {id!r}: {len(canon)} positions for {len(input)}-char input")
+    return Lattice(id=id, input=input, positions=tuple(canon))
 
 
 def parse_lattice(stream: Iterable[str] | IO[str]) -> Iterator[Lattice]:
@@ -125,10 +118,7 @@ def parse_lattice(stream: Iterable[str] | IO[str]) -> Iterator[Lattice]:
             continue
         try:
             obj = json.loads(line)
-            positions = [
-                [Candidate(token=c["t"], logp=float(c["lp"])) for c in pos]
-                for pos in obj["positions"]
-            ]
+            positions = [[(c["t"], float(c["lp"])) for c in pos] for pos in obj["positions"]]
             yield make_lattice(str(obj["id"]), obj["input"], positions)
         except LatticeError as e:
             raise LatticeError(f"record {idx}: {e}") from e
@@ -141,10 +131,7 @@ def serialize_lattice(lat: Lattice) -> str:
     obj = {
         "id": lat.id,
         "input": lat.input,
-        "positions": [
-            [{"t": c.token, "lp": c.logp} for c in sorted(pos, key=_candidate_sort_key)]
-            for pos in lat.positions
-        ],
+        "positions": [[{"t": t, "lp": lp} for t, lp in pos] for pos in lat.positions],
     }
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 

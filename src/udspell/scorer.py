@@ -13,27 +13,34 @@ from typing import IO, Iterable
 
 from .confusion import CharConfusion
 from .errors import ScorerError
-from .lattice import Candidate, Lattice, make_lattice
+from .lattice import Lattice, make_lattice
 
 _BOS = "\x02"
 
 
 @dataclass
 class NgramModel:
-    """Add-alpha smoothed char model: P(c | previous ``order`` chars)."""
+    """Add-alpha smoothed char model: P(c | previous ``order`` chars). ``totals``
+    holds each context's summed count; ``train`` and ``load_model`` keep it."""
 
     order: int = 2
     alpha: float = 0.1
     counts: dict[str, Counter] = field(default_factory=dict)
     vocab: tuple[str, ...] = ()
+    totals: dict[str, int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.totals is None:
+            self.totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
 
     def logprob(self, char: str, context: str) -> float:
-        ctx = (_BOS * self.order + context)[-self.order :]
-        counter = self.counts.get(ctx)
-        c = counter.get(char, 0) if counter else 0
-        total = sum(counter.values()) if counter else 0
-        v = max(1, len(self.vocab))
-        return math.log((c + self.alpha) / (total + self.alpha * v))
+        return self.logprobs((_BOS * self.order + context)[-self.order :], (char,))[0]
+
+    def logprobs(self, ctx: str, chars: Iterable[str]) -> list[float]:
+        """Log-probabilities of ``chars`` after the exactly ``order``-char ``ctx``."""
+        counter = self.counts.get(ctx) or {}
+        denom = self.totals.get(ctx, 0) + self.alpha * max(1, len(self.vocab))
+        return [math.log((counter.get(c, 0) + self.alpha) / denom) for c in chars]
 
 
 def train(corpus: Iterable[str], order: int = 2, alpha: float = 0.1) -> NgramModel:
@@ -43,6 +50,7 @@ def train(corpus: Iterable[str], order: int = 2, alpha: float = 0.1) -> NgramMod
     if alpha <= 0:
         raise ScorerError(f"alpha must be > 0, got {alpha}")
     counts: dict[str, Counter] = {}
+    totals: dict[str, int] = {}
     vocab: set[str] = set()
     n_sentences = 0
     for sentence in corpus:
@@ -51,10 +59,11 @@ def train(corpus: Iterable[str], order: int = 2, alpha: float = 0.1) -> NgramMod
         for i in range(order, len(padded)):
             ctx = padded[i - order : i]
             counts.setdefault(ctx, Counter())[padded[i]] += 1
+            totals[ctx] = totals.get(ctx, 0) + 1
             vocab.add(padded[i])
     if n_sentences == 0 or not vocab:
         raise ScorerError("cannot train on an empty corpus")
-    return NgramModel(order=order, alpha=alpha, counts=counts, vocab=tuple(sorted(vocab)))
+    return NgramModel(order, alpha, counts, tuple(sorted(vocab)), totals)
 
 
 def save_model(model: NgramModel, fh: IO[str]) -> None:
@@ -80,40 +89,52 @@ def load_model(stream: Iterable[str] | IO[str]) -> NgramModel:
     except (StopIteration, IndexError, ValueError) as e:
         raise ScorerError(f"malformed model header: {e}") from e
     counts: dict[str, Counter] = {}
+    totals: dict[str, int] = {}
     for ln, line in enumerate(lines, 3):
         line = line.rstrip("\n")
         if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ScorerError(f"line {ln}: malformed count entry")
-        counts.setdefault(parts[0], Counter())[parts[1]] = int(parts[2])
-    return NgramModel(order=order, alpha=alpha, counts=counts, vocab=vocab)
+        try:
+            ctx, char, count = line.split("\t")
+            count = int(count)
+        except ValueError:
+            raise ScorerError(f"line {ln}: malformed count entry {line!r}") from None
+        counter = counts.setdefault(ctx, Counter())
+        totals[ctx] = totals.get(ctx, 0) + count - counter.get(char, 0)  # repeats replace
+        counter[char] = count
+    return NgramModel(order, alpha, counts, vocab, totals)
 
 
 @dataclass
 class ChannelModel:
-    """Keep-or-confuse channel over the observed character's confusion set."""
+    """Keep-or-confuse channel over the observed character's confusion set,
+    read once per character and kept with its candidates' log-probabilities."""
 
     confusion: CharConfusion
     p_keep: float = 0.97
+    _entries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.p_keep <= 1):
             raise ScorerError(f"p_keep must be in (0, 1], got {self.p_keep}")
 
-    def candidates(self, observed: str) -> list[str]:
-        return sorted(self.confusion.all_candidates(observed))
+    def entry(self, observed: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
+        """The observed character, then its confusion candidates in code-point
+        order, with log P(observed | intended) for each."""
+        if observed not in self._entries:
+            confs = sorted(self.confusion.all_candidates(observed))
+            tokens = (observed, *(c for c in confs if c != observed))
+            swap = (1.0 - self.p_keep) / len(confs) if confs else 0.0
+            keep_lp = math.log(self.p_keep if confs else 1.0)
+            swap_lp = math.log(swap) if swap > 0 else -math.inf
+            self._entries[observed] = (tokens, (keep_lp,) + (swap_lp,) * (len(tokens) - 1))
+        return self._entries[observed]
 
     def logprob(self, observed: str, intended: str) -> float:
-        cands = self.candidates(observed)
-        if intended == observed:
-            p = self.p_keep if cands else 1.0
-        elif intended in cands:
-            p = (1.0 - self.p_keep) / len(cands)
-        else:
+        tokens, logps = self.entry(observed)
+        if intended not in tokens:
             raise ScorerError(f"{intended!r} is not a channel candidate for {observed!r}")
-        return math.log(p) if p > 0 else -math.inf
+        return logps[tokens.index(intended)]
 
 
 def _logsumexp(xs: list[float]) -> float:
@@ -124,11 +145,7 @@ def _logsumexp(xs: list[float]) -> float:
 
 
 def score_sentence(
-    sentence: str,
-    lm: NgramModel,
-    ch: ChannelModel,
-    k: int = 5,
-    id: str = "",
+    sentence: str, lm: NgramModel, ch: ChannelModel, k: int = 5, id: str = ""
 ) -> Lattice:
     """Top-k lattice for one sentence under the noisy-channel posterior.
 
@@ -138,25 +155,23 @@ def score_sentence(
     """
     if k < 1:
         raise ScorerError(f"k must be >= 1, got {k}")
+    padded = _BOS * lm.order + sentence
     positions = []
     for j, obs in enumerate(sentence):
-        cands = [obs] + [c for c in ch.candidates(obs) if c != obs]
-        context = sentence[:j]
-        scores = [lm.logprob(c, context) + ch.logprob(obs, c) for c in cands]
+        cands, channel = ch.entry(obs)
+        scores = [a + b for a, b in zip(lm.logprobs(padded[j : j + lm.order], cands), channel)]
         norm = _logsumexp(scores)
         # zero-probability candidates (p_keep == 1) cannot appear in a lattice
-        scored = [
-            (tok, min(s - norm, 0.0))
-            for tok, s in zip(cands, scores)
-            if s > -math.inf
-        ]
+        scored = [(t, min(s - norm, 0.0)) for t, s in zip(cands, scores) if s > -math.inf]
         scored.sort(key=lambda p: (-p[1], p[0]))
-        positions.append([Candidate(token=t, logp=lp) for t, lp in scored[:k]])
-    return make_lattice(id=id or sentence, input=sentence, positions=positions)
+        positions.append(scored[:k])
+    return make_lattice(id or sentence, sentence, positions)
 
 
 def score_corpus(
     sentences: Iterable[str], lm: NgramModel, ch: ChannelModel, k: int = 5
 ) -> Iterable[Lattice]:
+    """Score every non-blank sentence; its id is its 0-based index in ``sentences``."""
     for idx, s in enumerate(sentences):
-        yield score_sentence(s, lm, ch, k=k, id=str(idx))
+        if s.strip():
+            yield score_sentence(s, lm, ch, k=k, id=str(idx))

@@ -80,6 +80,22 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_bad_model_count_is_runtime_error(self, workdir, capsys):
+        model = workdir / "model.tsv"
+        model.write_text("#udspell-ngram\t1\t2\t0.1\n#vocab\ta\n\x02\x02\ta\tx\n", "utf-8")
+        code, out, err = run(
+            capsys,
+            "score",
+            "--model",
+            str(model),
+            "--char-confusion",
+            str(workdir / "chars.tsv"),
+            "--input",
+            str(workdir / "corpus.txt"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 3: ")
+
     def test_malformed_input_is_runtime_error(self, workdir, capsys):
         bad = workdir / "bad.tsv"
         bad.write_text("only-one-field\n", encoding="utf-8")
@@ -136,6 +152,22 @@ class TestPipeline:
                 row["raw_score"] + 4.0 * row["dict_score"]
             )
         assert err.startswith("# ")
+
+    def test_score_ids_are_input_line_numbers(self, workdir, capsys):
+        self.train(workdir, capsys)
+        (workdir / "gaps.txt").write_text("人民\n\n案件\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys,
+            "score",
+            "--model",
+            str(workdir / "model.tsv"),
+            "--char-confusion",
+            str(workdir / "chars.tsv"),
+            "--input",
+            str(workdir / "gaps.txt"),
+        )
+        assert code == 0
+        assert [json.loads(ln)["id"] for ln in out.splitlines()] == ["0", "2"]
 
     def test_decode_eta_zero_ignores_dictionary(self, workdir, capsys):
         self.train(workdir, capsys)

@@ -94,6 +94,15 @@ class TestDecodeConfig:
         assert cfg.eta == 4.0
         assert (cfg.prune.min_logp, cfg.prune.max_logp, cfg.prune.k) == (-11.0, -0.001, 5)
 
+    def test_no_prune_decodes_lattice_as_given(self):
+        rng = random.Random(2)
+        for i in range(50):
+            lat = random_lattice(rng, lattice_id=str(i))
+            dic = random_dictionary(rng)
+            given = decode(lat, dic, DecodeConfig(prune=None))
+            disabled = decode(lat, dic, DecodeConfig(prune=PruneConfig.disabled()))
+            assert (given.tokens, given.total) == (disabled.tokens, disabled.total)
+
     def test_invalid_rejected(self):
         with pytest.raises(DecodeError):
             DecodeConfig(eta=-1)
@@ -231,6 +240,26 @@ class TestDecodeCorpus:
         oracle = [decode_exhaustive(lat, dic).tokens for lat in lats]
         results, _ = decode_corpus(lats, dic)
         assert [p.tokens for _, p in results] == oracle
+
+    def test_prunes_each_lattice_once(self, monkeypatch):
+        import udspell.decoder as decoder_mod
+        import udspell.lattice as lattice_mod
+
+        calls = []
+
+        def counting_prune(lat, cfg):
+            calls.append(lat.id)
+            return prune(lat, cfg)
+
+        # the path count must reuse the decode's pruned lattice, not prune again
+        monkeypatch.setattr(decoder_mod, "prune", counting_prune)
+        monkeypatch.setattr(lattice_mod, "prune", counting_prune)
+        rng = random.Random(9)
+        lats = [random_lattice(rng, lattice_id=str(i)) for i in range(20)]
+        dic = random_dictionary(rng)
+        results, _ = decode_corpus(lats, dic)
+        assert calls == [lat.id for lat in lats]
+        assert [p.tokens for _, p in results] == [decode(lat, dic).tokens for lat in lats]
 
     def test_path_count_beyond_float_range(self):
         # 5**450 paths: the average path count no longer fits a float

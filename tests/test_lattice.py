@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import random
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from udspell.errors import LatticeError
 from udspell.lattice import (
-    Candidate,
     Lattice,
     PruneConfig,
     candidate_path_count,
@@ -24,38 +24,73 @@ from conftest import random_lattice
 
 
 def lat_of(input_s, rows):
-    return make_lattice("t", input_s, [[Candidate(t, lp) for t, lp in row] for row in rows])
+    return make_lattice("t", input_s, rows)
+
+
+def record(input_s, rows, lattice_id="x"):
+    """One JSON-lines lattice record with the given rows, in the given order."""
+    positions = [[{"t": t, "lp": lp} for t, lp in row] for row in rows]
+    return json.dumps({"id": lattice_id, "input": input_s, "positions": positions})
+
+
+def assert_rejected(input_s, rows):
+    """Both constructors refuse the rows: make_lattice and parse_lattice."""
+    with pytest.raises(LatticeError):
+        make_lattice("x", input_s, rows)
+    with pytest.raises(LatticeError, match="record 0"):
+        list(parse_lattice([record(input_s, rows)]))
 
 
 class TestCandidate:
     def test_rejects_multichar_token(self):
-        with pytest.raises(LatticeError):
-            Candidate("ab", -1.0)
+        assert_rejected("a", [[("ab", -1.0)]])
 
     def test_rejects_positive_logp(self):
-        with pytest.raises(LatticeError):
-            Candidate("a", 0.5)
+        assert_rejected("a", [[("a", 0.5)]])
 
     def test_rejects_nonfinite_logp(self):
-        with pytest.raises(LatticeError):
-            Candidate("a", -math.inf)
+        assert_rejected("a", [[("a", -math.inf)]])
+        assert_rejected("a", [[("a", math.nan)]])
+
+    def test_fields_and_unpacking(self):
+        (cand,) = make_lattice("x", "a", [[("a", -1.0)]]).positions[0]
+        token, logp = cand
+        assert (cand.token, cand.logp) == (token, logp) == ("a", -1.0)
 
 
 class TestLatticeInvariants:
     def test_position_count_must_match_input(self):
-        with pytest.raises(LatticeError):
-            Lattice("x", "abc", ((  # 2 positions for 3 chars
-                (Candidate("a", -1.0),),
-                (Candidate("b", -1.0),),
-            )))
+        assert_rejected("abc", [[("a", -1.0)], [("b", -1.0)]])  # 2 positions for 3 chars
 
     def test_duplicate_tokens_rejected(self):
-        with pytest.raises(LatticeError):
-            Lattice("x", "a", (((Candidate("a", -1.0), Candidate("a", -2.0)),)))
+        assert_rejected("a", [[("a", -1.0), ("a", -2.0)]])
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(LatticeError):
-            Lattice("x", "a", (((Candidate("a", -2.0), Candidate("b", -1.0)),)))
+    def test_unsorted_is_canonicalized(self):
+        rows = [[("a", -2.0), ("b", -1.0)]]
+        built = make_lattice("x", "a", rows)
+        (parsed,) = parse_lattice([record("a", rows)])
+        assert built == parsed
+        assert built.positions == ((("b", -1.0), ("a", -2.0)),)
+
+
+TOKENS = st.characters(blacklist_categories=("Cs",))
+
+
+@st.composite
+def lattices(draw):
+    n = draw(st.integers(0, 6))
+    rows = [
+        draw(
+            st.lists(
+                st.tuples(TOKENS, st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
+                max_size=4,
+                unique_by=lambda p: p[0],
+            )
+        )
+        for _ in range(n)
+    ]
+    input_s = "".join(draw(st.lists(TOKENS, min_size=n, max_size=n)))
+    return make_lattice(draw(st.text(TOKENS, max_size=4)), input_s, rows)
 
 
 class TestParseSerialize:
@@ -86,8 +121,16 @@ class TestParseSerialize:
             assert serialize_lattice(back) == line
             assert back == lat
 
+    @given(lattices())
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_property(self, lat):
+        line = serialize_lattice(lat)
+        (back,) = parse_lattice([line])
+        assert back == lat
+        assert serialize_lattice(back) == line
+
     def test_canonicalization_sorts_ties_by_codepoint(self):
-        lat = make_lattice("t", "a", [[Candidate("b", -1.0), Candidate("a", -1.0)]])
+        lat = make_lattice("t", "a", [[("b", -1.0), ("a", -1.0)]])
         assert [c.token for c in lat.positions[0]] == ["a", "b"]
 
 

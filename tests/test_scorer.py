@@ -71,6 +71,27 @@ class TestSerialization:
         with pytest.raises(ScorerError):
             load_model(["nonsense\n"])
 
+    def test_bad_count_names_line(self):
+        lines = ["#udspell-ngram\t1\t2\t0.1\n", "#vocab\ta\n", "\x02\x02\ta\tx\n"]
+        with pytest.raises(ScorerError, match="line 3"):
+            load_model(lines)
+
+    def test_loaded_totals_match_counts(self):
+        model = train(["甲乙丙", "甲乙丁", "乙丙"], order=2)
+        buf = io.StringIO()
+        save_model(model, buf)
+        # a repeated entry replaces the earlier count, as it does in ``counts``
+        back = load_model(io.StringIO(buf.getvalue() + "甲乙\t丙\t5\n"))
+        assert back.totals == {ctx: sum(c.values()) for ctx, c in back.counts.items()}
+        assert model.totals == {ctx: sum(c.values()) for ctx, c in model.counts.items()}
+
+    def test_model_built_from_counts_alone(self):
+        model = train(["甲乙丙", "甲乙丁"], order=2, alpha=0.25)
+        bare = NgramModel(model.order, model.alpha, model.counts, model.vocab)
+        for ctx in model.counts:
+            for c in model.vocab:
+                assert bare.logprob(c, ctx) == model.logprob(c, ctx)
+
 
 class TestChannel:
     def test_keep_probability(self):
@@ -138,6 +159,11 @@ class TestScoreSentence:
 
 
 class TestScoreCorpus:
+    def test_ids_are_line_numbers_past_blank_lines(self):
+        model = train(["甲乙", "甲丁"], order=1)
+        lats = list(score_corpus(["甲乙", "", "  ", "甲丁"], model, ChannelModel(tiny_confusion())))
+        assert [(lat.id, lat.input) for lat in lats] == [("0", "甲乙"), ("3", "甲丁")]
+
     def test_ids_are_indices(self):
         model = train(["甲乙", "甲丁"], order=1)
         lats = list(score_corpus(["甲乙", "甲丁"], model, ChannelModel(tiny_confusion())))
