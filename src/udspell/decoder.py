@@ -8,7 +8,7 @@ character before the search starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .dictionary import UserDictionary, asm_reward, rsm_fixed_positions
@@ -20,7 +20,7 @@ from .ecm import Edit
 @dataclass(frozen=True)
 class DecodeConfig:
     eta: float = 4.0
-    prune: PruneConfig | None = field(default_factory=PruneConfig)  # None: already pruned
+    prune: PruneConfig = field(default_factory=PruneConfig)
     asm_count_mode: str = "covered"
 
     def __post_init__(self) -> None:
@@ -31,7 +31,8 @@ class DecodeConfig:
 
 
 def _effective_positions(lat: Lattice, dic: UserDictionary, cfg: DecodeConfig) -> list[tuple]:
-    """Pruned candidate lists with raw-span-matched positions fixed to the input.
+    """The candidate lists of the pruned ``lat`` with raw-span-matched positions
+    fixed to the input.
 
     A fixed position whose input character is absent from its candidate
     list contributes 0.0 raw score (the character is forced, not scored).
@@ -39,7 +40,7 @@ def _effective_positions(lat: Lattice, dic: UserDictionary, cfg: DecodeConfig) -
     span fixing along with the occurrence reward and the decode reduces to
     the per-position argmax.
     """
-    positions = list((prune(lat, cfg.prune) if cfg.prune else lat).positions)
+    positions = list(lat.positions)
     for j, cands in enumerate(positions):
         if not cands:
             raise DecodeError(f"lattice {lat.id!r}: empty position {j} after pruning")
@@ -80,14 +81,17 @@ class _Hyp:
         return "".join(reversed(out))
 
 
-def decode(lat: Lattice, dic: UserDictionary, cfg: DecodeConfig | None = None) -> CorrectionPath:
+def decode(
+    lat: Lattice, dic: UserDictionary, cfg: DecodeConfig | None = None, *, _pruned: bool = False
+) -> CorrectionPath:
     """Exact search for the path maximizing raw score + eta * dictionary reward.
 
     Ties go to the higher raw score, then to fewer altered positions, then to
     the lexicographically smallest tokens, as in decode_exhaustive.
+    ``_pruned`` marks ``lat`` as already pruned under ``cfg.prune``.
     """
     cfg = cfg or DecodeConfig()
-    positions = _effective_positions(lat, dic, cfg)
+    positions = _effective_positions(lat if _pruned else prune(lat, cfg.prune), dic, cfg)
     ac = dic.automaton
     step = ac.step
     ends = ac.end_lengths
@@ -148,7 +152,7 @@ def decode_exhaustive(
     as its brute-force oracle.
     """
     cfg = cfg or DecodeConfig()
-    positions = _effective_positions(lat, dic, cfg)
+    positions = _effective_positions(prune(lat, cfg.prune), dic, cfg)
     count = 1
     for cands in positions:
         count *= len(cands)
@@ -203,14 +207,13 @@ def decode_corpus(
     """Decode a lattice stream; per-record failures are reported and skipped.
     Each lattice is pruned once, for both the search and the path count."""
     cfg = cfg or DecodeConfig()
-    search_cfg = replace(cfg, prune=None)
     results: list[tuple[Lattice, CorrectionPath]] = []
     diag = CorpusDiagnostics()
     total_paths = 0
     for lat in lats:
-        plat = prune(lat, cfg.prune) if cfg.prune else lat
+        plat = prune(lat, cfg.prune)
         try:
-            path = decode(plat, dic, search_cfg)
+            path = decode(plat, dic, cfg, _pruned=True)
         except DecodeError as e:
             diag.errors.append((lat.id, str(e)))
             continue

@@ -32,7 +32,9 @@ class Candidate(NamedTuple):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Per-position top-k candidates for one input sentence; see make_lattice."""
+    """Per-position top-k candidates for one input sentence. The constructor
+    checks nothing, and pruning and decoding trust the positions as given:
+    build a lattice with make_lattice, parse_lattice or prune."""
 
     id: str
     input: str

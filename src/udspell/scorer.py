@@ -21,17 +21,16 @@ _BOS = "\x02"
 @dataclass
 class NgramModel:
     """Add-alpha smoothed char model: P(c | previous ``order`` chars). ``totals``
-    holds each context's summed count; ``train`` and ``load_model`` keep it."""
+    holds each context's summed count, derived from ``counts``."""
 
     order: int = 2
     alpha: float = 0.1
     counts: dict[str, Counter] = field(default_factory=dict)
     vocab: tuple[str, ...] = ()
-    totals: dict[str, int] | None = None
+    totals: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.totals is None:
-            self.totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
+        self.totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
 
     def logprob(self, char: str, context: str) -> float:
         return self.logprobs((_BOS * self.order + context)[-self.order :], (char,))[0]
@@ -50,7 +49,6 @@ def train(corpus: Iterable[str], order: int = 2, alpha: float = 0.1) -> NgramMod
     if alpha <= 0:
         raise ScorerError(f"alpha must be > 0, got {alpha}")
     counts: dict[str, Counter] = {}
-    totals: dict[str, int] = {}
     vocab: set[str] = set()
     n_sentences = 0
     for sentence in corpus:
@@ -59,11 +57,10 @@ def train(corpus: Iterable[str], order: int = 2, alpha: float = 0.1) -> NgramMod
         for i in range(order, len(padded)):
             ctx = padded[i - order : i]
             counts.setdefault(ctx, Counter())[padded[i]] += 1
-            totals[ctx] = totals.get(ctx, 0) + 1
             vocab.add(padded[i])
     if n_sentences == 0 or not vocab:
         raise ScorerError("cannot train on an empty corpus")
-    return NgramModel(order, alpha, counts, tuple(sorted(vocab)), totals)
+    return NgramModel(order=order, alpha=alpha, counts=counts, vocab=tuple(sorted(vocab)))
 
 
 def save_model(model: NgramModel, fh: IO[str]) -> None:
@@ -89,7 +86,6 @@ def load_model(stream: Iterable[str] | IO[str]) -> NgramModel:
     except (StopIteration, IndexError, ValueError) as e:
         raise ScorerError(f"malformed model header: {e}") from e
     counts: dict[str, Counter] = {}
-    totals: dict[str, int] = {}
     for ln, line in enumerate(lines, 3):
         line = line.rstrip("\n")
         if not line:
@@ -99,10 +95,8 @@ def load_model(stream: Iterable[str] | IO[str]) -> NgramModel:
             count = int(count)
         except ValueError:
             raise ScorerError(f"line {ln}: malformed count entry {line!r}") from None
-        counter = counts.setdefault(ctx, Counter())
-        totals[ctx] = totals.get(ctx, 0) + count - counter.get(char, 0)  # repeats replace
-        counter[char] = count
-    return NgramModel(order, alpha, counts, vocab, totals)
+        counts.setdefault(ctx, Counter())[char] = count
+    return NgramModel(order=order, alpha=alpha, counts=counts, vocab=vocab)
 
 
 @dataclass
