@@ -14,7 +14,7 @@ from .confusion import (
     load_char_confusion,
     lookup,
 )
-from .decoder import DecodeConfig, decode, decode_corpus, decode_exhaustive
+from .decoder import CorpusDiagnostics, DecodeConfig, decode, decode_corpus, decode_exhaustive
 from .dictionary import (
     UserDictionary,
     asm_reward,
@@ -46,6 +46,7 @@ __all__ = [
     "Candidate",
     "ChannelModel",
     "CharConfusion",
+    "CorpusDiagnostics",
     "CorrectionPath",
     "CorruptionRecord",
     "DecodeConfig",

@@ -17,7 +17,7 @@ from . import confusion as confusion_mod
 from . import ecm as ecm_mod
 from . import evaluate as eval_mod
 from . import scorer as scorer_mod
-from .decoder import DecodeConfig, decode_corpus, path_edits
+from .decoder import CorpusDiagnostics, DecodeConfig, decode_corpus, path_edits
 from .dictionary import UserDictionary, build_ideal_dictionary, load_dictionary
 from .errors import UdspellError
 from .lattice import PruneConfig, parse_lattice, write_lattices
@@ -199,27 +199,29 @@ def _cmd_decode(args, out: IO[str]) -> None:
         prune=PruneConfig(min_logp=args.min_logp, max_logp=args.max_logp, k=args.topk),
         asm_count_mode=args.asm_mode,
     )
+    diag = CorpusDiagnostics()
     with open(args.lattice, encoding="utf-8") as fh:
-        results, diag = decode_corpus(parse_lattice(fh), dic, cfg)
-    for lat, path in results:
-        out.write(
-            json.dumps(
-                {
-                    "id": lat.id,
-                    "output": path.tokens,
-                    "raw_score": path.raw_score,
-                    "dict_score": path.dict_score,
-                    "total": path.total,
-                    "edits": [
-                        {"pos": e.pos, "orig": e.orig, "repl": e.repl}
-                        for e in path_edits(lat.input, path.tokens)
-                    ],
-                },
-                ensure_ascii=False,
-                separators=(",", ":"),
+        # each record is written as soon as it is decoded; a malformed record
+        # aborts the run with the records before it already written
+        for lat, path in decode_corpus(parse_lattice(fh), dic, cfg, diag):
+            out.write(
+                json.dumps(
+                    {
+                        "id": lat.id,
+                        "output": path.tokens,
+                        "raw_score": path.raw_score,
+                        "dict_score": path.dict_score,
+                        "total": path.total,
+                        "edits": [
+                            {"pos": e.pos, "orig": e.orig, "repl": e.repl}
+                            for e in path_edits(lat.input, path.tokens)
+                        ],
+                    },
+                    ensure_ascii=False,
+                    separators=(",", ":"),
+                )
+                + "\n"
             )
-            + "\n"
-        )
     summary = {
         "sentences": diag.sentence_count,
         "log10_avg_path_count": diag.log10_avg_path_count,

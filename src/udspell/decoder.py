@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .dictionary import UserDictionary, asm_reward, rsm_fixed_positions
 from .errors import DecodeError
@@ -52,35 +52,6 @@ def _effective_positions(lat: Lattice, dic: UserDictionary, cfg: DecodeConfig) -
     return positions
 
 
-def _reward(covered: int, altered: int, mode: str) -> int:
-    mask = covered & altered if mode == "altered" else covered
-    return mask.bit_count()
-
-
-class _Hyp:
-    """One search prefix. ``order`` is its rank under the final pick:
-    (-total, -raw, altered count, parent's lexicographic rank, last token)."""
-
-    __slots__ = ("order", "state", "covered", "altered", "raw", "parent", "token")
-
-    def __init__(self, order, state, covered, altered, raw, parent, token):
-        self.order = order
-        self.state = state
-        self.covered = covered
-        self.altered = altered
-        self.raw = raw
-        self.parent = parent
-        self.token = token
-
-    def tokens(self) -> str:
-        out = []
-        h = self
-        while h.parent is not None:
-            out.append(h.token)
-            h = h.parent
-        return "".join(reversed(out))
-
-
 def decode(
     lat: Lattice, dic: UserDictionary, cfg: DecodeConfig | None = None, *, _pruned: bool = False
 ) -> CorrectionPath:
@@ -94,45 +65,68 @@ def decode(
     positions = _effective_positions(lat if _pruned else prune(lat, cfg.prune), dic, cfg)
     ac = dic.automaton
     step = ac.step
-    ends = ac.end_lengths
+    ends = ac.ends
     depth = ac.depth
-    mode = cfg.asm_count_mode
+    altered_mode = cfg.asm_count_mode == "altered"
     eta = cfg.eta
     input_s = lat.input
 
-    # prefixes in lexicographic order of their tokens
-    hyps = [_Hyp((), 0, 0, 0, 0.0, None, "")]
+    # A prefix is (parent rank, token, total, raw, altered count, reward,
+    # state, covered, altered, parent). Its rank under the final pick is
+    # (-total, -raw, altered count, parent rank, token); the leading pair is
+    # unique per position, so prefixes sort into lexicographic token order
+    # without a key.
+    hyps = [(0, "", 0.0, 0.0, 0, 0, 0, 0, 0, None)]
     for j, cands in enumerate(positions):
-        merged: dict[tuple[int, int], _Hyp] = {}
+        merged: dict[tuple[int, int], tuple] = {}
         bit = 1 << j
         in_ch = input_s[j]
         for rank, hyp in enumerate(hyps):
+            _, _, _, raw0, n_alt0, reward0, state0, covered0, altered0, _ = hyp
             for tok, lp in cands:
-                altered = hyp.altered | bit if tok != in_ch else hyp.altered
-                state = step(hyp.state, tok)
-                covered = hyp.covered
-                for ln in ends(state):
-                    span = ((1 << ln) - 1) << (j - ln + 1)
-                    if altered & span:
-                        covered |= span
-                raw = hyp.raw + lp
-                total = raw + eta * _reward(covered, altered, mode)
-                order = (-total, -raw, altered.bit_count(), rank, tok)
+                if tok == in_ch:
+                    altered, n_alt = altered0, n_alt0
+                else:
+                    altered, n_alt = altered0 | bit, n_alt0 + 1
+                state = step(state0, tok)
+                covered = covered0
+                reward = reward0
+                lens = ends[state]
+                if lens:
+                    for ln in lens:
+                        span = ((1 << ln) - 1) << (j - ln + 1)
+                        if altered & span:
+                            covered |= span
+                    # Only a term ending here widens the reward: bit j is
+                    # uncovered until now, so gaining it in altered cannot.
+                    if covered != covered0:
+                        reward = (covered & altered if altered_mode else covered).bit_count()
+                raw = raw0 + lp
+                total = raw + eta * reward
                 # A later term reaches back at most over the suffix this state
                 # spells, whose altered bits follow from the state and the
                 # input: prefixes that agree on the state and on the covered
                 # bits of that suffix have the same futures.
                 key = (state, covered >> (j + 1 - depth[state]))
                 old = merged.get(key)
-                if old is None or order < old.order:
-                    merged[key] = _Hyp(order, state, covered, altered, raw, hyp, tok)
-        hyps = sorted(merged.values(), key=lambda h: h.order[3:])
-    best = min(hyps, key=lambda h: h.order)
+                if (
+                    old is None
+                    or total > old[2]
+                    or total == old[2]
+                    and (-raw, n_alt, rank, tok) < (-old[3], old[4], old[0], old[1])
+                ):
+                    merged[key] = (
+                        rank, tok, total, raw, n_alt, reward, state, covered, altered, hyp
+                    )
+        hyps = sorted(merged.values())
+    best = min(hyps, key=lambda h: (-h[2], -h[3], h[4], h[0], h[1]))
+    out = []
+    h = best
+    while h[9] is not None:
+        out.append(h[1])
+        h = h[9]
     return CorrectionPath(
-        tokens=best.tokens(),
-        raw_score=best.raw,
-        dict_score=_reward(best.covered, best.altered, cfg.asm_count_mode),
-        eta=cfg.eta,
+        tokens="".join(reversed(out)), raw_score=best[3], dict_score=best[5], eta=cfg.eta
     )
 
 
@@ -191,9 +185,15 @@ def decode_exhaustive(
 @dataclass
 class CorpusDiagnostics:
     sentence_count: int = 0
-    log10_avg_path_count: float = 0.0  # path counts outgrow floats on long lattices
+    total_paths: int = 0  # exact: path counts outgrow floats on long lattices
     flip_count: int = 0  # sentences whose output differs from the input
     errors: list[tuple[str, str]] = field(default_factory=list)  # (lattice id, message)
+
+    @property
+    def log10_avg_path_count(self) -> float:
+        if not self.sentence_count:
+            return 0.0
+        return math.log10(self.total_paths) - math.log10(self.sentence_count)
 
 
 def path_edits(input: str, path: str) -> list[Edit]:
@@ -202,14 +202,20 @@ def path_edits(input: str, path: str) -> list[Edit]:
 
 
 def decode_corpus(
-    lats: Iterable[Lattice], dic: UserDictionary, cfg: DecodeConfig | None = None
-) -> tuple[list[tuple[Lattice, CorrectionPath]], CorpusDiagnostics]:
-    """Decode a lattice stream; per-record failures are reported and skipped.
-    Each lattice is pruned once, for both the search and the path count."""
+    lats: Iterable[Lattice],
+    dic: UserDictionary,
+    cfg: DecodeConfig | None = None,
+    diag: CorpusDiagnostics | None = None,
+) -> Iterator[tuple[Lattice, CorrectionPath]]:
+    """Decode a lattice stream lazily, yielding ``(lattice, path)`` per record.
+
+    Per-record decode failures are recorded in ``diag`` and skipped; ``diag``
+    is up to date whenever a record is yielded. Each lattice is pruned once,
+    for both the search and the path count, and only one is held at a time.
+    """
     cfg = cfg or DecodeConfig()
-    results: list[tuple[Lattice, CorrectionPath]] = []
-    diag = CorpusDiagnostics()
-    total_paths = 0
+    if diag is None:
+        diag = CorpusDiagnostics()
     for lat in lats:
         plat = prune(lat, cfg.prune)
         try:
@@ -217,10 +223,7 @@ def decode_corpus(
         except DecodeError as e:
             diag.errors.append((lat.id, str(e)))
             continue
-        results.append((lat, path))
         diag.sentence_count += 1
-        total_paths += candidate_path_count(plat).count
+        diag.total_paths += candidate_path_count(plat)
         diag.flip_count += int(path.tokens != lat.input)
-    if diag.sentence_count:
-        diag.log10_avg_path_count = math.log10(total_paths) - math.log10(diag.sentence_count)
-    return results, diag
+        yield lat, path

@@ -22,8 +22,8 @@ class AhoCorasick:
     """Multi-pattern matcher over a fixed term set.
 
     States are integers; 0 is the root. ``step`` advances by one character
-    (following failure links), ``end_lengths`` reports the lengths of every
-    term ending at the current state, and ``depth[state]`` is the length of
+    (following failure links), ``ends[state]`` holds the lengths of every
+    term ending at that state, and ``depth[state]`` is the length of
     the term prefix the state spells: the longest suffix of the text read so
     far that a term occurrence can still extend.
     """
@@ -31,7 +31,7 @@ class AhoCorasick:
     def __init__(self, terms: Iterable[str]):
         self._goto: list[dict[str, int]] = [{}]
         self._fail: list[int] = [0]
-        self._out: list[tuple[int, ...]] = [()]
+        self.ends: list[tuple[int, ...]] = [()]
         self.depth: list[int] = [0]
         for term in sorted(set(terms)):
             self._insert(term)
@@ -46,10 +46,10 @@ class AhoCorasick:
                 self._goto[state][ch] = nxt
                 self._goto.append({})
                 self._fail.append(0)
-                self._out.append(())
+                self.ends.append(())
                 self.depth.append(self.depth[state] + 1)
             state = nxt
-        self._out[state] = self._out[state] + (len(term),)
+        self.ends[state] = self.ends[state] + (len(term),)
 
     def _build_links(self) -> None:
         queue: deque[int] = deque()
@@ -63,7 +63,7 @@ class AhoCorasick:
                 while f and ch not in self._goto[f]:
                     f = self._fail[f]
                 self._fail[child] = self._goto[f].get(ch, 0) if self._goto[f].get(ch, 0) != child else 0
-                self._out[child] = self._out[child] + self._out[self._fail[child]]
+                self.ends[child] = self.ends[child] + self.ends[self._fail[child]]
 
     def step(self, state: int, ch: str) -> int:
         """Advance one character, following failure links."""
@@ -71,15 +71,12 @@ class AhoCorasick:
             state = self._fail[state]
         return self._goto[state].get(ch, 0)
 
-    def end_lengths(self, state: int) -> tuple[int, ...]:
-        return self._out[state]
-
     def iter_matches(self, text: str) -> Iterator[tuple[int, int]]:
         """(start, end) of every term occurrence in text, end exclusive."""
         state = 0
         for j, ch in enumerate(text):
             state = self.step(state, ch)
-            for ln in self._out[state]:
+            for ln in self.ends[state]:
                 yield (j - ln + 1, j + 1)
 
 

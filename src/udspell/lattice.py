@@ -173,21 +173,10 @@ def greedy_path(lat: Lattice) -> CorrectionPath:
     return CorrectionPath(tokens="".join(tokens), raw_score=raw)
 
 
-@dataclass(frozen=True)
-class PathCount:
-    """Exact candidate-path count plus its natural log (overflow-safe view)."""
-
-    count: int
-    log_count: float
-
-
-def candidate_path_count(lat: Lattice, cfg: PruneConfig | None = None) -> PathCount:
-    """Product over positions of the (optionally post-prune) candidate count."""
-    target = prune(lat, cfg) if cfg is not None else lat
+def candidate_path_count(lat: Lattice) -> int:
+    """Exact number of paths: the product of the position sizes."""
     count = 1
-    log_count = 0.0
-    for cands in target.positions:
+    for cands in lat.positions:
         count *= len(cands)
-        log_count += math.log(len(cands)) if cands else -math.inf
-    return PathCount(count=count, log_count=log_count)
+    return count
 

@@ -187,6 +187,17 @@ class TestPipeline:
         summary = json.loads(err.splitlines()[0].removeprefix("# "))
         assert summary["log10_avg_path_count"] == pytest.approx(450 * math.log10(5))
 
+    def test_decode_malformed_record_keeps_earlier_output(self, workdir, capsys):
+        good = serialize_lattice(long_lattice(3))
+        lat = workdir / "bad.jsonl"
+        lat.write_text(f"{good}\n{{\"id\": \"1\"}}\n{good}\n", encoding="utf-8")
+        out_file = workdir / "pred.jsonl"
+        code, _, err = run(capsys, "decode", "--lattice", str(lat), "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: record 1: ")
+        lines = out_file.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(ln)["output"] for ln in lines] == [long_lattice(3).input]
+
     def test_gen_corpus_reruns_byte_identical(self, workdir, capsys):
         argv = [
             "gen-corpus",

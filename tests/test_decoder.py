@@ -1,9 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udspell.decoder import (
+    CorpusDiagnostics,
     DecodeConfig,
     decode,
     decode_corpus,
@@ -88,6 +92,36 @@ def dense_lattice(rng, lattice_id):
     return lat_of(inp, rows, lattice_id), UserDictionary(terms)
 
 
+# few distinct values, signed zeros included, so exact ties are common
+TIE_LOGPS = (0.0, -0.0, -0.5, -1.0, -1.5)
+
+
+@st.composite
+def tie_heavy_case(draw):
+    """A lattice of <= 6 positions x <= 4 candidates over 4 characters, terms
+    spelled by its candidates, and a config with nothing pruned."""
+    chars = VOCAB[:4]
+    n = draw(st.integers(1, 6))
+    rows = [
+        [(t, draw(st.sampled_from(TIE_LOGPS)))
+         for t in draw(st.lists(st.sampled_from(chars), min_size=1, max_size=4, unique=True))]
+        for _ in range(n)
+    ]
+    lat = lat_of("".join(draw(st.sampled_from(chars)) for _ in range(n)), rows)
+    terms = set()
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 4))):
+            start = draw(st.integers(0, n - 2))
+            stop = draw(st.integers(start + 2, min(n, start + 4)))
+            terms.add("".join(draw(st.sampled_from(row))[0] for row in rows[start:stop]))
+    cfg = DecodeConfig(
+        eta=draw(st.sampled_from((0.0, 0.5, 4.0))),
+        prune=PruneConfig.disabled(),
+        asm_count_mode=draw(st.sampled_from(("covered", "altered"))),
+    )
+    return lat, UserDictionary(terms), cfg
+
+
 class TestDecodeConfig:
     def test_defaults(self):
         cfg = DecodeConfig()
@@ -168,6 +202,14 @@ class TestExhaustive:
             e = decode_exhaustive(lat, dic, cfg)
             assert (b.tokens, b.total) == (e.tokens, e.total), lat.id
 
+    @given(tie_heavy_case())
+    @settings(max_examples=300, deadline=None)
+    def test_tie_heavy_lattices_match_oracle(self, case):
+        lat, dic, cfg = case
+        b = decode(lat, dic, cfg)
+        e = decode_exhaustive(lat, dic, cfg)
+        assert (b.tokens, b.raw_score, b.dict_score) == (e.tokens, e.raw_score, e.dict_score)
+
 
 class TestInvariants:
     def test_rsm_supremacy(self):
@@ -211,7 +253,8 @@ class TestDecodeCorpus:
             lat_of("甲乙", [[("甲", -0.0001)], [("乙", -0.0001)]], lattice_id=str(i))
             for i in range(5)
         ]
-        results, diag = decode_corpus(lats, EMPTY)
+        diag = CorpusDiagnostics()
+        results = list(decode_corpus(lats, EMPTY, diag=diag))
         assert all(p.tokens == lat.input for lat, p in results)
         assert diag.log10_avg_path_count == 0.0
         assert diag.flip_count == 0
@@ -220,8 +263,8 @@ class TestDecodeCorpus:
         rng = random.Random(7)
         lats = [random_lattice(rng, lattice_id=str(i)) for i in range(30)]
         dic = UserDictionary({"甲乙"})
-        a, _ = decode_corpus(lats, dic)
-        b, _ = decode_corpus(lats, dic)
+        a = list(decode_corpus(lats, dic))
+        b = list(decode_corpus(lats, dic))
         assert [p.tokens for _, p in a] == [p.tokens for _, p in b]
 
     def test_matches_precomputed_oracle(self):
@@ -229,7 +272,7 @@ class TestDecodeCorpus:
         lats = [random_lattice(rng, lattice_id=str(i)) for i in range(100)]
         dic = random_dictionary(rng)
         oracle = [decode_exhaustive(lat, dic).tokens for lat in lats]
-        results, _ = decode_corpus(lats, dic)
+        results = list(decode_corpus(lats, dic))
         assert [p.tokens for _, p in results] == oracle
 
     def test_prunes_each_lattice_once(self, monkeypatch):
@@ -248,7 +291,7 @@ class TestDecodeCorpus:
         rng = random.Random(9)
         lats = [random_lattice(rng, lattice_id=str(i)) for i in range(20)]
         dic = random_dictionary(rng)
-        results, _ = decode_corpus(lats, dic)
+        results = list(decode_corpus(lats, dic))
         assert calls == [lat.id for lat in lats]
         alone = [decode(lat, dic) for lat in lats]
         assert [(p.tokens, p.total) for _, p in results] == [(p.tokens, p.total) for p in alone]
@@ -256,9 +299,49 @@ class TestDecodeCorpus:
     def test_path_count_beyond_float_range(self):
         # 5**450 paths: the average path count no longer fits a float
         lat = long_lattice()
-        results, diag = decode_corpus([lat], EMPTY)
+        diag = CorpusDiagnostics()
+        results = list(decode_corpus([lat], EMPTY, diag=diag))
         assert [p.tokens for _, p in results] == [lat.input]
         assert diag.log10_avg_path_count == pytest.approx(450 * math.log10(5))
+        assert diag.total_paths == 5**450
+
+    def test_yields_before_reading_on(self):
+        rng = random.Random(10)
+        first = random_lattice(rng, lattice_id="0")
+
+        def stream():
+            yield first
+            raise RuntimeError("stream broke after record 0")
+
+        records = decode_corpus(stream(), EMPTY)
+        lat, path = next(records)
+        assert lat is first and path == decode(first, EMPTY)
+        with pytest.raises(RuntimeError):
+            next(records)
+
+    def test_memory_does_not_grow_with_record_count(self):
+        def lattices(rng, count):
+            for i in range(count):
+                rows = [
+                    [(t, rng.uniform(-8.0, -0.01)) for t in rng.sample(VOCAB, 5)]
+                    for _ in range(60)
+                ]
+                yield lat_of("".join(rng.choice(row)[0] for row in rows), rows, str(i))
+
+        def peak(count):
+            rng = random.Random(11)
+            dic = random_dictionary(rng)
+            tracemalloc.start()
+            try:
+                for _ in decode_corpus(lattices(rng, count), dic):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # first-call allocations (caches, specializations) stay out of both
+        small = peak(20)
+        assert peak(200) < 2 * small
 
 
 class TestPathEdits:

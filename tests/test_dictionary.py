@@ -97,7 +97,7 @@ class TestAutomaton:
         state = 0
         for j, ch in enumerate(text):
             state = ac.step(state, ch)
-            for ln in ac.end_lengths(state):
+            for ln in ac.ends[state]:
                 incremental.append((j - ln + 1, j + 1))
         assert sorted(incremental) == sorted(ac.iter_matches(text))
         assert set(incremental) == naive_spans(text, terms)
