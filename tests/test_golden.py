@@ -2,7 +2,10 @@
 
 The inputs and the expected outputs live in ``tests/golden/``. The pinned
 outputs are the ``score`` lattice JSONL, the ``decode`` JSONL and its stderr
-summary, and a ``gen-corpus`` ECM corpus. A change that alters any of them
+summary, and two ``gen-corpus`` ECM corpora: one from the short sentences
+with no pinyin table or fragment file, and one from the inputs in
+``tests/golden/ecm/`` (sentences of 14+ characters, a pinyin table with
+polyphones, a fragment file) that runs every kind of edit. A change that alters any of them
 changes what users get from the same inputs, so it has to be deliberate:
 regenerate with ``PYTHONPATH=src python3 tests/test_golden.py`` and review
 the diff.
@@ -19,7 +22,8 @@ from udspell.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected"
-NAMES = ("lattice.jsonl", "decode.jsonl", "decode.stderr", "ecm.tsv")
+ECM = GOLDEN / "ecm"
+NAMES = ("lattice.jsonl", "decode.jsonl", "decode.stderr", "ecm.tsv", "ecm_fragments.tsv")
 
 
 def _run(*argv: str) -> tuple[str, str]:
@@ -52,7 +56,15 @@ def produce(workdir: Path) -> dict[str, str]:
         "--char-confusion", str(GOLDEN / "chars.tsv"),
         "--seed", "3",
     )
-    return dict(zip(NAMES, (lattices, decoded, summary, corpus)))
+    fragment_corpus, _ = _run(
+        "gen-corpus",
+        "--corpus", str(ECM / "corpus.txt"),
+        "--char-confusion", str(ECM / "chars.tsv"),
+        "--pinyin", str(ECM / "pinyin.tsv"),
+        "--ngram-confusion", str(ECM / "fragments.tsv"),
+        "--seed", "10",
+    )
+    return dict(zip(NAMES, (lattices, decoded, summary, corpus, fragment_corpus)))
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +76,31 @@ def outputs(tmp_path_factory):
 def test_output_is_byte_identical(outputs, name):
     expected = (EXPECTED / name).read_bytes()
     assert outputs[name].encode("utf-8") == expected
+
+
+def test_fragment_case_runs_every_edit_kind():
+    """The pinned corpus holds a random, a shape, a single-character
+    pronunciation and a fragment pronunciation edit, and random edits of
+    characters both in and out of the confusion inventory."""
+    kinds = set()
+    random_origs = []
+    for line in (EXPECTED / "ecm_fragments.tsv").read_text("utf-8").splitlines():
+        if line.startswith("#"):
+            continue
+        _, _, error_type, spec = line.split("\t")
+        for edit in filter(None, spec.split(";")):
+            orig = edit.split(":", 1)[1].split(">")[0]
+            kinds.add((error_type, len(orig) > 1))
+            if error_type == "random":
+                random_origs.append(orig)
+    assert {("random", False), ("shape", False)} <= kinds
+    assert {("pronunciation", False), ("pronunciation", True)} <= kinds
+    inventory = {
+        c
+        for line in (ECM / "chars.tsv").read_text("utf-8").splitlines()
+        for c in line.split("\t")[0] + line.split("\t")[2].replace(",", "")
+    }
+    assert {o in inventory for o in random_origs} == {True, False}
 
 
 if __name__ == "__main__":
