@@ -200,37 +200,40 @@ def _cmd_decode(args, out: IO[str]) -> None:
         asm_count_mode=args.asm_mode,
     )
     diag = CorpusDiagnostics()
-    with open(args.lattice, encoding="utf-8") as fh:
-        # each record is written as soon as it is decoded; a malformed record
-        # aborts the run with the records before it already written
-        for lat, path in decode_corpus(parse_lattice(fh), dic, cfg, diag):
-            out.write(
-                json.dumps(
-                    {
-                        "id": lat.id,
-                        "output": path.tokens,
-                        "raw_score": path.raw_score,
-                        "dict_score": path.dict_score,
-                        "total": path.total,
-                        "edits": [
-                            {"pos": e.pos, "orig": e.orig, "repl": e.repl}
-                            for e in path_edits(lat.input, path.tokens)
-                        ],
-                    },
-                    ensure_ascii=False,
-                    separators=(",", ":"),
+    try:
+        with open(args.lattice, encoding="utf-8") as fh:
+            # each record is written as soon as it is decoded; a malformed
+            # record aborts the run with the records before it already written
+            for lat, path in decode_corpus(parse_lattice(fh), dic, cfg, diag):
+                out.write(
+                    json.dumps(
+                        {
+                            "id": lat.id,
+                            "output": path.tokens,
+                            "raw_score": path.raw_score,
+                            "dict_score": path.dict_score,
+                            "total": path.total,
+                            "edits": [
+                                {"pos": e.pos, "orig": e.orig, "repl": e.repl}
+                                for e in path_edits(lat.input, path.tokens)
+                            ],
+                        },
+                        ensure_ascii=False,
+                        separators=(",", ":"),
+                    )
+                    + "\n"
                 )
-                + "\n"
-            )
-    summary = {
-        "sentences": diag.sentence_count,
-        "log10_avg_path_count": diag.log10_avg_path_count,
-        "flips": diag.flip_count,
-        "errors": len(diag.errors),
-    }
-    print(f"# {json.dumps(summary)}", file=sys.stderr)
-    for lat_id, msg in diag.errors:
-        print(f"# error {lat_id}: {msg}", file=sys.stderr)
+    finally:
+        # the summary covers the records handled so far, also when one aborts the run
+        summary = {
+            "sentences": diag.sentence_count,
+            "log10_avg_path_count": diag.log10_avg_path_count,
+            "flips": diag.flip_count,
+            "errors": len(diag.errors),
+        }
+        print(f"# {json.dumps(summary)}", file=sys.stderr)
+        for lat_id, msg in diag.errors:
+            print(f"# error {lat_id}: {msg}", file=sys.stderr)
 
 
 def _cmd_eval(args, out: IO[str]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
@@ -70,8 +71,16 @@ class CorruptionRecord:
             raise EcmError("source and target must have equal length")
 
 
-def _edit_sites(sentence: str) -> list[int]:
-    return [i for i, c in enumerate(sentence) if is_chinese_char(c)]
+def _draw_other(rng: random.Random, pool: Sequence[str], orig: str) -> str | None:
+    """``rng.choice([c for c in pool if c != orig])`` without the copy: the same
+    character and ``rng`` state, or None and no draw when nothing else is left.
+    ``pool`` must be sorted and free of duplicates."""
+    k = bisect_left(pool, orig)
+    present = k < len(pool) and pool[k] == orig
+    if len(pool) == present:
+        return None
+    i = rng.randrange(len(pool) - present)  # the draw rng.choice makes
+    return pool[i + (present and i >= k)]
 
 
 def corrupt_sentence(
@@ -87,6 +96,10 @@ def corrupt_sentence(
     The total number of replaced characters never exceeds
     floor(max_ratio * len); sentences where no edit is possible degrade to
     an unchanged record flagged as degraded.
+
+    ``inventory`` (default ``char_conf.inventory()``) is trusted to be sorted
+    and free of duplicates, as ``CharConfusion.inventory()`` returns it: a
+    random edit finds its original in it by bisection.
     """
     if not sentence:
         raise EcmError("cannot corrupt an empty sentence")
@@ -98,7 +111,7 @@ def corrupt_sentence(
         return CorruptionRecord(sentence, sentence, "unchanged")
 
     budget = math.floor(cfg.max_ratio * len(sentence))
-    sites = _edit_sites(sentence)
+    sites = [i for i, c in enumerate(sentence) if is_chinese_char(c)]
     if budget == 0 or not sites:
         return CorruptionRecord(sentence, sentence, "unchanged", degraded=True)
 
@@ -122,8 +135,8 @@ def corrupt_sentence(
                 for ln in NGRAM_LENGTHS
                 if ln <= want - spent
                 and pos + ln <= len(sentence)
-                and all(i in sites and i not in used for i in range(pos, pos + ln))
                 and ngram_conf.entries.get(sentence[pos : pos + ln])
+                and all(is_chinese_char(sentence[i]) and i not in used for i in range(pos, pos + ln))
             ]
             if frag_lens and rng.random() < 0.5:
                 ln = rng.choice(frag_lens)
@@ -135,14 +148,15 @@ def corrupt_sentence(
                 spent += ln
                 continue
             cands = sorted(char_conf.phonetic_candidates(orig))
+            repl = rng.choice(cands) if cands else None
         elif error_type == "shape":
             cands = sorted(char_conf.morphological_candidates(orig))
+            repl = rng.choice(cands) if cands else None
         else:  # random
-            cands = [c for c in inventory if c != orig]
+            repl = _draw_other(rng, inventory, orig)
 
-        if not cands:
+        if repl is None:
             continue
-        repl = rng.choice(cands)
         chars[pos] = repl
         used.add(pos)
         edits.append(Edit(pos, orig, repl))
@@ -154,29 +168,22 @@ def corrupt_sentence(
     return CorruptionRecord("".join(chars), sentence, error_type, tuple(edits))
 
 
-def _sentence_rng(seed: int, index: int) -> random.Random:
-    # str seeds hash deterministically (sha512) across processes
-    return random.Random(f"{seed}:{index}")
-
-
 def generate_corpus(
     corpus: Iterable[str],
     char_conf: CharConfusion,
     ngram_conf: NgramConfusion,
     cfg: EcmConfig,
-    inventory: Sequence[str] | None = None,
 ) -> Iterator[CorruptionRecord]:
     """One corruption record per sentence, reproducible for a fixed seed.
 
     Each sentence uses an RNG derived from (seed, sentence index), so the
     output is independent of processing order.
     """
-    if inventory is None:
-        inventory = char_conf.inventory()
+    inventory = char_conf.inventory()
     for idx, sentence in enumerate(corpus):
-        yield corrupt_sentence(
-            sentence, char_conf, ngram_conf, cfg, _sentence_rng(cfg.seed, idx), inventory
-        )
+        # str seeds hash deterministically (sha512) across processes
+        rng = random.Random(f"{cfg.seed}:{idx}")
+        yield corrupt_sentence(sentence, char_conf, ngram_conf, cfg, rng, inventory)
 
 
 @dataclass

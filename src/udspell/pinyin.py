@@ -75,16 +75,12 @@ def decompose(integral: str) -> PinyinSyllable:
     if not _SYLLABLE_RE.match(s):
         raise PinyinError(f"unparseable pinyin syllable {integral!r}")
     body, tone = s[:-1], int(s[-1])
-    for ini in INITIALS:
-        if body.startswith(ini) and body[len(ini):] in FINALS:
-            return PinyinSyllable(integral=s, initial=ini, final=body[len(ini):], tone=tone)
+    for n in (2, 1):  # initials have one or two letters
+        if body[:n] in INITIALS and body[n:] in FINALS:
+            return PinyinSyllable(integral=s, initial=body[:n], final=body[n:], tone=tone)
     if body in FINALS:
         return PinyinSyllable(integral=s, initial="", final=body, tone=tone)
     raise PinyinError(f"unparseable pinyin syllable {integral!r}")
-
-
-def recompose(syl: PinyinSyllable) -> str:
-    return syl.initial + syl.final + str(syl.tone)
 
 
 def phonetic_similar(a: PinyinSyllable, b: PinyinSyllable, fuzzy: bool = True) -> bool:
@@ -110,33 +106,29 @@ class PinyinTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def chars(self) -> Iterable[str]:
-        return self._entries.keys()
-
     def readings(self, char: str) -> tuple[PinyinSyllable, ...]:
         try:
             return self._entries[char]
         except KeyError:
             raise PinyinError(f"character {char!r} not in pinyin table") from None
 
-    def first_reading(self, char: str) -> PinyinSyllable:
-        """The most frequent reading (first listed) of a polyphonic character."""
-        return self.readings(char)[0]
-
     def similar(self, a: str, b: str, fuzzy: bool = True) -> bool:
         """True iff any reading pair of the two characters is phonetically similar."""
-        if a not in self._entries or b not in self._entries:
-            return False
-        return any(
-            phonetic_similar(ra, rb, fuzzy=fuzzy)
-            for ra in self._entries[a]
-            for rb in self._entries[b]
-        )
+        ra, rb = self._entries.get(a, ()), self._entries.get(b, ())
+        if len(ra) != 1 or len(rb) != 1:  # polyphones, or a character not in the table
+            return any(phonetic_similar(x, y, fuzzy) for x in ra for y in rb)
+        # phonetic_similar, building tone-less strings only when the finals differ
+        (x,), (y,) = ra, rb
+        if x.final != y.final:
+            return x.toneless == y.toneless
+        ix, iy = x.initial, y.initial
+        return ix == iy or fuzzy and _FUZZY_REP.get(ix, ix) == _FUZZY_REP.get(iy, iy)
 
 
 def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:
     """Load a TSV of ``char<TAB>syll1,syll2,...`` lines; ``#`` starts a comment."""
     entries: dict[str, tuple[PinyinSyllable, ...]] = {}
+    decoded: dict[str, PinyinSyllable] = {}  # each distinct syllable string decomposed once
     for ln, line in enumerate(stream, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -145,7 +137,10 @@ def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:
         if len(parts) != 2 or len(parts[0]) != 1:
             raise PinyinError(f"line {ln}: bad pinyin table entry {line!r}")
         char, sylls = parts
-        entries[char] = tuple(decompose(s) for s in sylls.split(",") if s)
+        for s in sylls.split(","):
+            if s and s not in decoded:
+                decoded[s] = decompose(s)
+        entries[char] = tuple(decoded[s] for s in sylls.split(",") if s)
         if not entries[char]:
             raise PinyinError(f"line {ln}: no readings for {char!r}")
     return PinyinTable(entries)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from udspell.cli import build_parser, main
-from udspell.lattice import serialize_lattice
+from udspell.lattice import make_lattice, serialize_lattice
 
 from test_decoder import long_lattice
 
@@ -194,9 +194,28 @@ class TestPipeline:
         out_file = workdir / "pred.jsonl"
         code, _, err = run(capsys, "decode", "--lattice", str(lat), "--out", str(out_file))
         assert code == 2
-        assert err.startswith("error: record 1: ")
+        summary, error = err.splitlines()
+        assert summary.startswith("# ")
+        assert json.loads(summary[2:])["sentences"] == 1
+        assert error.startswith("error: record 1: ")
         lines = out_file.read_text(encoding="utf-8").splitlines()
         assert [json.loads(ln)["output"] for ln in lines] == [long_lattice(3).input]
+
+    def test_decode_abort_reports_records_skipped_before_it(self, workdir, capsys):
+        good = serialize_lattice(long_lattice(3))
+        # a position with no candidates: decode_corpus skips the record
+        empty = serialize_lattice(make_lattice("5", "甲", [[]]))
+        lat = workdir / "bad.jsonl"
+        lat.write_text(f"{good}\n{empty}\n{{\"id\": \"2\"}}\n", encoding="utf-8")
+        code, out, err = run(capsys, "decode", "--lattice", str(lat))
+        assert code == 2
+        summary, skipped, error = err.splitlines()
+        assert json.loads(summary[2:]) | {"log10_avg_path_count": None} == {
+            "sentences": 1, "log10_avg_path_count": None, "flips": 0, "errors": 1,
+        }
+        assert skipped.startswith("# error 5: ")
+        assert error.startswith("error: record 2: ")
+        assert len(out.splitlines()) == 1
 
     def test_gen_corpus_reruns_byte_identical(self, workdir, capsys):
         argv = [

@@ -4,10 +4,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udspell.confusion import CharConfusion, NgramConfusion
 from udspell.ecm import (
     EcmConfig,
+    _draw_other,
     corrupt_sentence,
     format_edit_spec,
     generate_corpus,
@@ -79,6 +82,21 @@ class TestCorruptSentence:
                 else:
                     assert e.repl in ng.entries[e.orig]
 
+    def test_fragment_edits_never_overlap_earlier_edits(self, dense_confusion):
+        chars, cc, ng = dense_confusion
+        rng = random.Random(4)
+        fragments = 0
+        for _ in range(300):
+            # fragments back to back, so that most positions start one
+            s = "".join(rng.choice([chars[0] + chars[1], "".join(chars[2:5])]) for _ in range(16))
+            rec = corrupt_sentence(s, cc, ng, typed_cfg("pronunciation"), rng)
+            covered = [i for e in rec.edits for i in range(e.pos, e.pos + len(e.orig))]
+            assert len(covered) == len(set(covered))
+            for e in rec.edits:
+                assert rec.source[e.pos : e.pos + len(e.repl)] == e.repl
+            fragments += sum(len(e.orig) > 1 for e in rec.edits)
+        assert fragments
+
     def test_shape_edits_single_char_only(self, dense_confusion):
         chars, cc, ng = dense_confusion
         rng = random.Random(4)
@@ -125,6 +143,48 @@ class TestCorruptSentence:
         _, cc, ng = dense_confusion
         with pytest.raises(EcmError):
             corrupt_sentence("", cc, ng, EcmConfig(), random.Random(0))
+
+
+ALPHABET = [chr(ord("一") + i) for i in range(40)]
+
+
+def draw_from_copy(rng, pool, orig):
+    cands = [c for c in pool if c != orig]
+    return rng.choice(cands) if cands else None
+
+
+class TestRandomDraw:
+    """The random-type draw equals ``rng.choice`` of the inventory without the
+    original, in the character drawn and in the state it leaves ``rng`` in."""
+
+    def check(self, pool, orig, seed):
+        copy_rng, draw_rng = random.Random(seed), random.Random(seed)
+        assert _draw_other(draw_rng, pool, orig) == draw_from_copy(copy_rng, pool, orig)
+        assert draw_rng.getstate() == copy_rng.getstate()
+
+    @given(
+        st.lists(st.sampled_from(ALPHABET), unique=True).map(sorted),
+        st.sampled_from(ALPHABET),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_same_char_and_state(self, pool, orig, seed):
+        self.check(pool, orig, seed)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5000])
+    @pytest.mark.parametrize("where", ["absent", "first", "last", "middle"])
+    def test_orig_placements(self, size, where):
+        pool = ALPHABET[:1] + [chr(0x4E80 + i) for i in range(size - 1)]
+        orig = {"absent": "丁", "first": pool[0], "last": pool[-1], "middle": pool[size // 2]}
+        for seed in range(20):
+            self.check(pool, orig[where], seed)
+
+    def test_only_element_draws_nothing(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert _draw_other(rng, ["一"], "一") is None
+        assert _draw_other(rng, [], "一") is None
+        assert rng.getstate() == state
 
 
 class TestGenerateCorpus:

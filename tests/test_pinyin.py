@@ -1,5 +1,8 @@
+from importlib import resources
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udspell.errors import PinyinError
@@ -7,11 +10,17 @@ from udspell.pinyin import (
     FINALS,
     INITIALS,
     PinyinSyllable,
+    PinyinTable,
     decompose,
     load_pinyin_table,
     phonetic_similar,
-    recompose,
 )
+
+
+def bundled_chars():
+    """The characters of the bundled pinyin table, in file order."""
+    text = resources.files("udspell.data").joinpath("pinyin.tsv").read_text("utf-8")
+    return [ln.split("\t")[0] for ln in text.splitlines() if ln and not ln.startswith("#")]
 
 
 class TestDecompose:
@@ -48,6 +57,35 @@ class TestDecompose:
         with pytest.raises(PinyinError, match="xqj1"):
             decompose("xqj1")
 
+    @given(
+        st.one_of(
+            st.text(alphabet="abceghilnorsuvz", min_size=1, max_size=6),
+            st.tuples(
+                st.sampled_from(("",) + INITIALS),
+                st.sampled_from(sorted(FINALS)),
+                st.sampled_from(("", "h", "g", "n", "a")),
+            ).map("".join),
+        ),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_longest_first_scan(self, body, tone):
+        """The split equals a scan of INITIALS in order, then the empty initial."""
+        expected = next(
+            (
+                (ini, body[len(ini):])
+                for ini in INITIALS + ("",)
+                if body.startswith(ini) and body[len(ini):] in FINALS
+            ),
+            None,
+        )
+        if expected is None:
+            with pytest.raises(PinyinError):
+                decompose(f"{body}{tone}")
+        else:
+            syl = decompose(f"{body}{tone}")
+            assert (syl.initial, syl.final, syl.tone) == (*expected, tone)
+
 
 def all_valid_syllables():
     out = []
@@ -61,9 +99,9 @@ class TestRecompose:
     def test_bijection_over_inventory(self):
         for s in all_valid_syllables():
             # some letter sequences decompose differently than built
-            # (longest initial wins); recompose must still invert decompose
+            # (longest initial wins); the parts must still spell the syllable
             syl = decompose(s)
-            assert recompose(syl) == syl.integral == s.lower()
+            assert syl.initial + syl.final + str(syl.tone) == syl.integral == s.lower()
 
 
 class TestPhoneticSimilar:
@@ -97,7 +135,7 @@ class TestPhoneticSimilar:
 class TestPinyinTable:
     def test_load_and_lookup(self):
         table = load_pinyin_table(["# comment", "插\tcha1", "了\tle5,liao3"])
-        assert table.first_reading("插").integral == "cha1"
+        assert table.readings("插")[0].integral == "cha1"
         assert len(table.readings("了")) == 2
         assert "插" in table and "擦" not in table
 
@@ -115,8 +153,59 @@ class TestPinyinTable:
         assert table.similar("行", "航")
 
     def test_bundled_table_decomposes_validly(self, pinyin_table):
-        for char in pinyin_table.chars():
+        chars = bundled_chars()
+        assert len(chars) == len(pinyin_table)
+        for char in chars:
             for syl in pinyin_table.readings(char):
-                assert recompose(syl) == syl.integral
+                assert syl.initial + syl.final + str(syl.tone) == syl.integral
                 assert syl.initial in INITIALS or syl.initial == ""
                 assert syl.final in FINALS
+
+    def test_distinct_syllables_decoded_once(self):
+        table = load_pinyin_table(["插\tcha1", "叉\tcha1,cha3", "擦\tca1"])
+        assert table.readings("插")[0] is table.readings("叉")[0]
+        assert table.readings("叉")[1] == decompose("cha3")
+
+
+def any_pair_similar(ra, rb, fuzzy):
+    return any(phonetic_similar(x, y, fuzzy) for x in ra for y in rb)
+
+
+class TestTableSimilar:
+    """``PinyinTable.similar`` equals the any-reading-pair ``phonetic_similar``."""
+
+    @pytest.mark.parametrize("fuzzy", [True, False])
+    def test_every_bundled_pair(self, pinyin_table, fuzzy):
+        chars = bundled_chars()
+        for a, b in product(chars, chars):
+            expected = any_pair_similar(pinyin_table.readings(a), pinyin_table.readings(b), fuzzy)
+            assert pinyin_table.similar(a, b, fuzzy) == expected, (a, b)
+
+    def test_missing_char_is_not_similar(self):
+        table = load_pinyin_table(["插\tcha1"])
+        assert not table.similar("插", "擦")
+        assert not table.similar("擦", "擦")
+
+    # hand-built syllables may split one tone-less spelling two ways
+    # ("z" + "hang" against "zh" + "ang"), which decompose never does
+    hand_built = st.builds(
+        PinyinSyllable,
+        integral=st.just("x1"),
+        initial=st.sampled_from(("", "z", "zh", "c", "ch", "l", "n", "f", "h", "r", "b")),
+        final=st.sampled_from(("ang", "hang", "an", "han", "a", "ha", "i", "hi", "ong")),
+        tone=st.integers(1, 5),
+    )
+
+    @given(
+        st.lists(hand_built, min_size=1, max_size=3),
+        st.lists(hand_built, min_size=1, max_size=3),
+        st.booleans(),
+    )
+    @example([PinyinSyllable("x1", "z", "hang", 1)], [PinyinSyllable("x2", "zh", "ang", 2)], False)
+    @example([PinyinSyllable("x1", "c", "ha", 1)], [PinyinSyllable("x2", "ch", "a", 2)], True)
+    @example([PinyinSyllable("x1", "z", "hang", 1)], [PinyinSyllable("x2", "z", "ang", 2)], True)
+    @settings(max_examples=500, deadline=None)
+    def test_hand_built_readings(self, ra, rb, fuzzy):
+        table = PinyinTable({"甲": tuple(ra), "乙": tuple(rb)})
+        assert table.similar("甲", "乙", fuzzy) == any_pair_similar(ra, rb, fuzzy)
+        assert table.similar("乙", "甲", fuzzy) == any_pair_similar(rb, ra, fuzzy)
