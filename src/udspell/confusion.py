@@ -94,7 +94,7 @@ def load_char_confusion(
         if tag not in ("P", "M"):
             raise ConfusionError(f"line {ln}: unknown confusion type tag {tag!r}")
         target = conf.phonetic if tag == "P" else conf.morphological
-        check = tag == "P" and pinyin_table is not None and char in pinyin_table
+        check_pinyin = tag == "P" and pinyin_table is not None and char in pinyin_table
         cands = set()
         for c in cands_s.split(","):
             c = c.strip()
@@ -103,7 +103,7 @@ def load_char_confusion(
             if c == char:
                 dropped_self += 1
                 continue
-            if check and c in pinyin_table and not pinyin_table.similar(char, c, fuzzy=fuzzy):
+            if check_pinyin and c in pinyin_table and not pinyin_table.similar(char, c, fuzzy):
                 dropped_dissimilar += 1
                 continue
             cands.add(c)

@@ -210,9 +210,8 @@ class TestPipeline:
         code, out, err = run(capsys, "decode", "--lattice", str(lat))
         assert code == 2
         summary, skipped, error = err.splitlines()
-        assert json.loads(summary[2:]) | {"log10_avg_path_count": None} == {
-            "sentences": 1, "log10_avg_path_count": None, "flips": 0, "errors": 1,
-        }
+        counts = json.loads(summary[2:])
+        assert (counts["sentences"], counts["flips"], counts["errors"]) == (1, 0, 1)
         assert skipped.startswith("# error 5: ")
         assert error.startswith("error: record 2: ")
         assert len(out.splitlines()) == 1

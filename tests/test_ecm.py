@@ -179,13 +179,6 @@ class TestRandomDraw:
         for seed in range(20):
             self.check(pool, orig[where], seed)
 
-    def test_only_element_draws_nothing(self):
-        rng = random.Random(5)
-        state = rng.getstate()
-        assert _draw_other(rng, ["一"], "一") is None
-        assert _draw_other(rng, [], "一") is None
-        assert rng.getstate() == state
-
 
 class TestGenerateCorpus:
     def test_deterministic_given_seed(self, dense_confusion):
