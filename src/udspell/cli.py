@@ -200,8 +200,8 @@ def _cmd_decode(args, out: IO[str]) -> None:
         asm_count_mode=args.asm_mode,
     )
     diag = CorpusDiagnostics()
-    try:
-        with open(args.lattice, encoding="utf-8") as fh:
+    with open(args.lattice, encoding="utf-8") as fh:
+        try:
             # each record is written as soon as it is decoded; a malformed
             # record aborts the run with the records before it already written
             for lat, path in decode_corpus(parse_lattice(fh), dic, cfg, diag):
@@ -223,17 +223,17 @@ def _cmd_decode(args, out: IO[str]) -> None:
                     )
                     + "\n"
                 )
-    finally:
-        # the summary covers the records handled so far, also when one aborts the run
-        summary = {
-            "sentences": diag.sentence_count,
-            "log10_avg_path_count": diag.log10_avg_path_count,
-            "flips": diag.flip_count,
-            "errors": len(diag.errors),
-        }
-        print(f"# {json.dumps(summary)}", file=sys.stderr)
-        for lat_id, msg in diag.errors:
-            print(f"# error {lat_id}: {msg}", file=sys.stderr)
+        finally:
+            # the summary covers the records handled so far, also when one aborts the run
+            summary = {
+                "sentences": diag.sentence_count,
+                "log10_avg_path_count": diag.log10_avg_path_count,
+                "flips": diag.flip_count,
+                "errors": len(diag.errors),
+            }
+            print(f"# {json.dumps(summary)}", file=sys.stderr)
+            for lat_id, msg in diag.errors:
+                print(f"# error {lat_id}: {msg}", file=sys.stderr)
 
 
 def _cmd_eval(args, out: IO[str]) -> None:

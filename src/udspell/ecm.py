@@ -83,35 +83,45 @@ def _draw_other(rng: random.Random, pool: Sequence[str], orig: str) -> str | Non
     return pool[i + (present and i >= k)]
 
 
+def _edit_sites(sentence: str) -> list[int]:
+    return [i for i, c in enumerate(sentence) if is_chinese_char(c)]
+
+
 def corrupt_sentence(
     sentence: str,
     char_conf: CharConfusion,
     ngram_conf: NgramConfusion,
     cfg: EcmConfig,
     rng: random.Random,
-    inventory: Sequence[str] | None = None,
 ) -> CorruptionRecord:
     """Corrupt one sentence with a single sampled error type.
 
     The total number of replaced characters never exceeds
     floor(max_ratio * len); sentences where no edit is possible degrade to
     an unchanged record flagged as degraded.
-
-    ``inventory`` (default ``char_conf.inventory()``) is trusted to be sorted
-    and free of duplicates, as ``CharConfusion.inventory()`` returns it: a
-    random edit finds its original in it by bisection.
     """
+    return _corrupt(sentence, char_conf, ngram_conf, cfg, rng, char_conf.inventory())
+
+
+def _corrupt(
+    sentence: str,
+    char_conf: CharConfusion,
+    ngram_conf: NgramConfusion,
+    cfg: EcmConfig,
+    rng: random.Random,
+    inventory: Sequence[str],
+) -> CorruptionRecord:
+    """``corrupt_sentence`` with ``char_conf.inventory()`` computed once by the
+    caller; ``inventory`` must be that sorted, duplicate-free list."""
     if not sentence:
         raise EcmError("cannot corrupt an empty sentence")
-    if inventory is None:
-        inventory = char_conf.inventory()
 
     error_type = cfg.sample_type(rng)
     if error_type == "unchanged":
         return CorruptionRecord(sentence, sentence, "unchanged")
 
     budget = math.floor(cfg.max_ratio * len(sentence))
-    sites = [i for i, c in enumerate(sentence) if is_chinese_char(c)]
+    sites = _edit_sites(sentence)
     if budget == 0 or not sites:
         return CorruptionRecord(sentence, sentence, "unchanged", degraded=True)
 
@@ -147,16 +157,19 @@ def corrupt_sentence(
                 edits.append(Edit(pos, frag, repl))
                 spent += ln
                 continue
-            cands = sorted(char_conf.phonetic_candidates(orig))
-            repl = rng.choice(cands) if cands else None
-        elif error_type == "shape":
-            cands = sorted(char_conf.morphological_candidates(orig))
-            repl = rng.choice(cands) if cands else None
-        else:  # random
-            repl = _draw_other(rng, inventory, orig)
 
-        if repl is None:
-            continue
+        if error_type == "random":
+            repl = _draw_other(rng, inventory, orig)
+            if repl is None:
+                continue
+        else:
+            if error_type == "pronunciation":
+                cands = sorted(char_conf.phonetic_candidates(orig))
+            else:
+                cands = sorted(char_conf.morphological_candidates(orig))
+            if not cands:
+                continue
+            repl = rng.choice(cands)
         chars[pos] = repl
         used.add(pos)
         edits.append(Edit(pos, orig, repl))
@@ -166,6 +179,11 @@ def corrupt_sentence(
         return CorruptionRecord(sentence, sentence, "unchanged", degraded=True)
     edits.sort(key=lambda e: e.pos)
     return CorruptionRecord("".join(chars), sentence, error_type, tuple(edits))
+
+
+def _sentence_rng(seed: int, index: int) -> random.Random:
+    # str seeds hash deterministically (sha512) across processes
+    return random.Random(f"{seed}:{index}")
 
 
 def generate_corpus(
@@ -181,9 +199,9 @@ def generate_corpus(
     """
     inventory = char_conf.inventory()
     for idx, sentence in enumerate(corpus):
-        # str seeds hash deterministically (sha512) across processes
-        rng = random.Random(f"{cfg.seed}:{idx}")
-        yield corrupt_sentence(sentence, char_conf, ngram_conf, cfg, rng, inventory)
+        yield _corrupt(
+            sentence, char_conf, ngram_conf, cfg, _sentence_rng(cfg.seed, idx), inventory
+        )
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import IO, Iterable
 
 from .errors import PinyinError
 
-# The 23 Mandarin initials; two-letter ones must be tried first.
+# The 23 Mandarin initials.
 INITIALS: tuple[str, ...] = (
     "zh", "ch", "sh",
     "b", "p", "m", "f", "d", "t", "n", "l",
@@ -85,13 +85,10 @@ def decompose(integral: str) -> PinyinSyllable:
 
 def phonetic_similar(a: PinyinSyllable, b: PinyinSyllable, fuzzy: bool = True) -> bool:
     """True iff the syllables match ignoring tone, exactly or under fuzzy initials."""
-    if a.toneless == b.toneless:
-        return True
-    if not fuzzy:
-        return False
-    return a.final == b.final and _FUZZY_REP.get(a.initial, a.initial) == _FUZZY_REP.get(
-        b.initial, b.initial
-    )
+    if a.final != b.final:  # only a fuzzy match needs equal finals
+        return a.toneless == b.toneless
+    ia, ib = a.initial, b.initial
+    return ia == ib or fuzzy and _FUZZY_REP.get(ia, ia) == _FUZZY_REP.get(ib, ib)
 
 
 class PinyinTable:
@@ -115,14 +112,9 @@ class PinyinTable:
     def similar(self, a: str, b: str, fuzzy: bool = True) -> bool:
         """True iff any reading pair of the two characters is phonetically similar."""
         ra, rb = self._entries.get(a, ()), self._entries.get(b, ())
-        if len(ra) != 1 or len(rb) != 1:  # polyphones, or a character not in the table
-            return any(phonetic_similar(x, y, fuzzy) for x in ra for y in rb)
-        # phonetic_similar, building tone-less strings only when the finals differ
-        (x,), (y,) = ra, rb
-        if x.final != y.final:
-            return x.toneless == y.toneless
-        ix, iy = x.initial, y.initial
-        return ix == iy or fuzzy and _FUZZY_REP.get(ix, ix) == _FUZZY_REP.get(iy, iy)
+        if len(ra) == 1 and len(rb) == 1:  # the common case, without a generator
+            return phonetic_similar(ra[0], rb[0], fuzzy)
+        return any(phonetic_similar(x, y, fuzzy) for x in ra for y in rb)
 
 
 def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:
@@ -137,10 +129,11 @@ def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:
         if len(parts) != 2 or len(parts[0]) != 1:
             raise PinyinError(f"line {ln}: bad pinyin table entry {line!r}")
         char, sylls = parts
-        for s in sylls.split(","):
-            if s and s not in decoded:
-                decoded[s] = decompose(s)
-        entries[char] = tuple(decoded[s] for s in sylls.split(",") if s)
+        entries[char] = tuple(
+            decoded[s] if s in decoded else decoded.setdefault(s, decompose(s))
+            for s in sylls.split(",")
+            if s
+        )
         if not entries[char]:
             raise PinyinError(f"line {ln}: no readings for {char!r}")
     return PinyinTable(entries)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +201,13 @@ class TestPipeline:
         assert error.startswith("error: record 1: ")
         lines = out_file.read_text(encoding="utf-8").splitlines()
         assert [json.loads(ln)["output"] for ln in lines] == [long_lattice(3).input]
+
+    def test_decode_unopenable_lattice_prints_only_the_error(self, workdir, capsys, monkeypatch):
+        # skip the parser's existence check so that open() itself fails
+        monkeypatch.setattr("udspell.cli._existing_file", Path)
+        code, out, err = run(capsys, "decode", "--lattice", str(workdir / "missing.jsonl"))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
 
     def test_decode_abort_reports_records_skipped_before_it(self, workdir, capsys):
         good = serialize_lattice(long_lattice(3))

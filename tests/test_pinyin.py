@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from udspell.errors import PinyinError
 from udspell.pinyin import (
     FINALS,
+    FUZZY_GROUPS,
     INITIALS,
     PinyinSyllable,
     PinyinTable,
@@ -70,7 +71,8 @@ class TestDecompose:
     )
     @settings(max_examples=500, deadline=None)
     def test_matches_longest_first_scan(self, body, tone):
-        """The split equals a scan of INITIALS in order, then the empty initial."""
+        """The split equals a scan of INITIALS in order, then the empty initial.
+        INITIALS lists the two-letter initials first, so the scan is longest-first."""
         expected = next(
             (
                 (ini, body[len(ini):])
@@ -167,6 +169,16 @@ class TestPinyinTable:
         assert table.readings("叉")[1] == decompose("cha3")
 
 
+def reference_similar(a, b, fuzzy):
+    """phonetic_similar as first written: tone-less equality, then the fuzzy rule."""
+    if a.toneless == b.toneless:
+        return True
+    rep = {i: min(g) for g in FUZZY_GROUPS for i in g}
+    return fuzzy and a.final == b.final and rep.get(a.initial, a.initial) == rep.get(
+        b.initial, b.initial
+    )
+
+
 def any_pair_similar(ra, rb, fuzzy):
     return any(phonetic_similar(x, y, fuzzy) for x in ra for y in rb)
 
@@ -209,3 +221,5 @@ class TestTableSimilar:
         table = PinyinTable({"甲": tuple(ra), "乙": tuple(rb)})
         assert table.similar("甲", "乙", fuzzy) == any_pair_similar(ra, rb, fuzzy)
         assert table.similar("乙", "甲", fuzzy) == any_pair_similar(rb, ra, fuzzy)
+        for x, y in product(ra, rb):
+            assert phonetic_similar(x, y, fuzzy) == reference_similar(x, y, fuzzy)
