@@ -94,7 +94,6 @@ def load_char_confusion(
         if tag not in ("P", "M"):
             raise ConfusionError(f"line {ln}: unknown confusion type tag {tag!r}")
         target = conf.phonetic if tag == "P" else conf.morphological
-        check_pinyin = tag == "P" and pinyin_table is not None and char in pinyin_table
         cands = set()
         for c in cands_s.split(","):
             c = c.strip()
@@ -103,7 +102,13 @@ def load_char_confusion(
             if c == char:
                 dropped_self += 1
                 continue
-            if check_pinyin and c in pinyin_table and not pinyin_table.similar(char, c, fuzzy):
+            if (
+                tag == "P"
+                and pinyin_table is not None
+                and char in pinyin_table
+                and c in pinyin_table
+                and not pinyin_table.similar(char, c, fuzzy=fuzzy)
+            ):
                 dropped_dissimilar += 1
                 continue
             cands.add(c)
