@@ -12,16 +12,9 @@ from .confusion import (
     NgramConfusion,
     build_ngram_confusion,
     load_char_confusion,
-    lookup,
 )
-from .decoder import CorpusDiagnostics, DecodeConfig, decode, decode_corpus, decode_exhaustive
-from .dictionary import (
-    UserDictionary,
-    asm_reward,
-    build_ideal_dictionary,
-    load_dictionary,
-    rsm_spans,
-)
+from .decoder import CorpusDiagnostics, DecodeConfig, decode, decode_corpus
+from .dictionary import UserDictionary, build_ideal_dictionary, load_dictionary
 from .ecm import CorruptionRecord, EcmConfig, corrupt_sentence, generate_corpus
 from .errors import UdspellError
 from .evaluate import EvalRecord, dataset_stats, sentence_metrics
@@ -31,7 +24,6 @@ from .lattice import (
     Lattice,
     PruneConfig,
     candidate_path_count,
-    greedy_path,
     make_lattice,
     parse_lattice,
     prune,
@@ -60,7 +52,6 @@ __all__ = [
     "PruneConfig",
     "UdspellError",
     "UserDictionary",
-    "asm_reward",
     "build_ideal_dictionary",
     "build_ngram_confusion",
     "candidate_path_count",
@@ -68,18 +59,14 @@ __all__ = [
     "dataset_stats",
     "decode",
     "decode_corpus",
-    "decode_exhaustive",
     "decompose",
     "generate_corpus",
-    "greedy_path",
     "load_char_confusion",
     "load_dictionary",
-    "lookup",
     "make_lattice",
     "parse_lattice",
     "phonetic_similar",
     "prune",
-    "rsm_spans",
     "score_sentence",
     "sentence_metrics",
     "serialize_lattice",

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack
+from dataclasses import asdict
 from pathlib import Path
 from typing import IO
 
@@ -240,7 +241,7 @@ def _cmd_eval(args, out: IO[str]) -> None:
     records = eval_mod.read_eval_records(_read_lines(args.records))
     reports = eval_mod.all_metrics(records, style=args.style)
     if args.json:
-        print(json.dumps([r.as_dict() for r in reports]), file=out)
+        print(json.dumps([asdict(r) for r in reports]), file=out)
     else:
         print(f"{'level':<12}{'acc':>8}{'pre':>8}{'rec':>8}{'f1':>8}", file=out)
         for r in reports:
@@ -250,9 +251,9 @@ def _cmd_eval(args, out: IO[str]) -> None:
 def _cmd_stats(args, out: IO[str]) -> None:
     stats = eval_mod.dataset_stats(eval_mod.read_dataset(_read_lines(args.dataset)))
     if args.json:
-        print(json.dumps(stats.as_dict()), file=out)
+        print(json.dumps(asdict(stats)), file=out)
     else:
-        for k, v in stats.as_dict().items():
+        for k, v in asdict(stats).items():
             print(f"{k:<24}{v if v is not None else 'n/a'}", file=out)
 
 

@@ -147,13 +147,6 @@ class NgramConfusion:
         self.entries.setdefault(b, set()).add(a)
 
 
-def lookup(frag: str, conf: NgramConfusion) -> set[str]:
-    """Candidate fragments for one 2-4 character fragment (never contains frag)."""
-    if len(frag) not in NGRAM_LENGTHS:
-        raise ConfusionError(f"fragment length must be 2-4, got {frag!r}")
-    return set(conf.entries.get(frag, ()))
-
-
 def save_ngram_confusion(conf: NgramConfusion, fh: IO[str]) -> None:
     for frag in sorted(conf.entries):
         fh.write(f"{frag}\t{','.join(sorted(conf.entries[frag]))}\n")

@@ -1,9 +1,11 @@
-"""Dictionary-guided exact search over pruned lattices, plus an exhaustive
-oracle decoder used for verification.
+"""Dictionary-guided exact search over pruned lattices.
 
 A path's score is its summed candidate log-probabilities plus eta times the
 altered-span-match reward; raw-span matches fix positions to the input
-character before the search starts.
+character before the search starts. The reward counts the distinct
+positions covered by dictionary-term occurrences in the path that contain
+at least one altered position (``asm_count_mode="covered"``), or only the
+altered positions among them (``"altered"``).
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .dictionary import UserDictionary, asm_reward, rsm_fixed_positions
+from .dictionary import UserDictionary, rsm_fixed_positions
 from .errors import DecodeError
 from .lattice import CorrectionPath, Lattice, PruneConfig, candidate_path_count, prune
 from .ecm import Edit
@@ -44,7 +46,7 @@ def _effective_positions(lat: Lattice, dic: UserDictionary, cfg: DecodeConfig) -
     for j, cands in enumerate(positions):
         if not cands:
             raise DecodeError(f"lattice {lat.id!r}: empty position {j} after pruning")
-    if cfg.eta > 0 and len(dic) and len(lat.input):
+    if cfg.eta > 0 and len(dic):
         for j in rsm_fixed_positions(lat.input, dic):
             ch = lat.input[j]
             lp = next((lp for t, lp in positions[j] if t == ch), 0.0)
@@ -58,7 +60,7 @@ def decode(
     """Exact search for the path maximizing raw score + eta * dictionary reward.
 
     Ties go to the higher raw score, then to fewer altered positions, then to
-    the lexicographically smallest tokens, as in decode_exhaustive.
+    the lexicographically smallest tokens.
     ``_pruned`` marks ``lat`` as already pruned under ``cfg.prune``.
     """
     cfg = cfg or DecodeConfig()
@@ -128,58 +130,6 @@ def decode(
     return CorrectionPath(
         tokens="".join(reversed(out)), raw_score=best[3], dict_score=best[5], eta=cfg.eta
     )
-
-
-DEFAULT_EXHAUSTIVE_BOUND = 10**6
-
-
-def decode_exhaustive(
-    lat: Lattice,
-    dic: UserDictionary,
-    cfg: DecodeConfig | None = None,
-    max_paths: int = DEFAULT_EXHAUSTIVE_BOUND,
-) -> CorrectionPath:
-    """Enumerate every post-prune path and return the exact argmax.
-
-    Refuses lattices whose post-prune path count exceeds ``max_paths``.
-    Shares the scoring and tie-breaking rules with decode(), so it serves
-    as its brute-force oracle.
-    """
-    cfg = cfg or DecodeConfig()
-    positions = _effective_positions(prune(lat, cfg.prune), dic, cfg)
-    count = 1
-    for cands in positions:
-        count *= len(cands)
-        if count > max_paths:
-            raise DecodeError(
-                f"lattice {lat.id!r}: path count exceeds exhaustive bound {max_paths}"
-            )
-    n = len(positions)
-    input_s = lat.input
-    best: tuple | None = None
-    best_result: tuple | None = None
-    tokens: list[str] = [""] * n
-
-    def visit(j: int, raw: float) -> None:
-        nonlocal best, best_result
-        if j == n:
-            path = "".join(tokens)
-            reward = asm_reward(input_s, path, dic, cfg.asm_count_mode) if len(dic) else 0
-            total = raw + cfg.eta * reward
-            altered = sum(1 for a, b in zip(path, input_s) if a != b)
-            key = (-total, -raw, altered, path)
-            if best is None or key < best:
-                best = key
-                best_result = (path, raw, reward)
-            return
-        for tok, lp in positions[j]:
-            tokens[j] = tok
-            visit(j + 1, raw + lp)
-
-    visit(0, 0.0)
-    assert best_result is not None
-    path, raw, reward = best_result
-    return CorrectionPath(tokens=path, raw_score=raw, dict_score=reward, eta=cfg.eta)
 
 
 @dataclass

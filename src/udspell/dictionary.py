@@ -1,4 +1,4 @@
-"""User dictionary storage, multi-pattern matching, and span-match scoring.
+"""User dictionary storage, multi-pattern matching, and raw-span pinning.
 
 Matching is backed by an Aho-Corasick automaton so the decoder can advance
 one character at a time along a hypothesis and learn, at each position,
@@ -9,7 +9,6 @@ from __future__ import annotations
 import logging
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .confusion import greedy_segment
@@ -80,13 +79,6 @@ class AhoCorasick:
                 yield (j - ln + 1, j + 1)
 
 
-@dataclass(frozen=True)
-class SpanMatch:
-    start: int
-    end: int  # exclusive
-    term: str
-
-
 class UserDictionary:
     """Immutable term set (each term >= 2 chars) with its matcher."""
 
@@ -127,50 +119,13 @@ def load_dictionary(stream: Iterable[str] | IO[str]) -> UserDictionary:
     return UserDictionary(terms)
 
 
-def rsm_spans(input: str, dic: UserDictionary) -> list[SpanMatch]:
-    """Every occurrence (overlaps included) of a dictionary term in the raw input."""
-    if not input:
-        raise DictionaryError("input must be non-empty")
-    spans = [
-        SpanMatch(start=s, end=e, term=input[s:e]) for s, e in dic.automaton.iter_matches(input)
-    ]
-    spans.sort(key=lambda m: (m.start, m.end))
-    return spans
-
-
 def rsm_fixed_positions(input: str, dic: UserDictionary) -> set[int]:
+    """Every position covered by an occurrence (overlaps included) of a
+    dictionary term in the raw input."""
     fixed: set[int] = set()
-    for m in rsm_spans(input, dic):
-        fixed.update(range(m.start, m.end))
+    for s, e in dic.automaton.iter_matches(input):
+        fixed.update(range(s, e))
     return fixed
-
-
-def asm_reward(
-    input: str, path: str, dic: UserDictionary, count_mode: str = "covered"
-) -> int:
-    """Altered-span-match reward for one complete path.
-
-    Dictionary-term occurrences in the path that contain at least one
-    altered position (path differs from input there) contribute their
-    positions; the reward counts distinct covered positions
-    (``count_mode="covered"``) or only the altered ones among them
-    (``count_mode="altered"``).
-    """
-    if len(path) != len(input):
-        raise DictionaryError(
-            f"path length {len(path)} != input length {len(input)}"
-        )
-    if count_mode not in ("covered", "altered"):
-        raise DictionaryError(f"unknown asm count mode {count_mode!r}")
-    altered = {i for i in range(len(input)) if path[i] != input[i]}
-    covered: set[int] = set()
-    for s, e in dic.automaton.iter_matches(path):
-        span = range(s, e)
-        if any(i in altered for i in span):
-            covered.update(span)
-    if count_mode == "altered":
-        covered &= altered
-    return len(covered)
 
 
 def _diff_runs(source: str, target: str) -> list[tuple[int, int]]:

@@ -41,16 +41,6 @@ class MetricsReport:
     rec: float
     f1: float
 
-    def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "style": self.style,
-            "acc": self.acc,
-            "pre": self.pre,
-            "rec": self.rec,
-            "f1": self.f1,
-        }
-
 
 def _diff_positions(a: str, b: str) -> frozenset[int]:
     return frozenset(i for i in range(len(a)) if a[i] != b[i])
@@ -112,16 +102,6 @@ class DatasetStats:
     max_len: int | None
     avg_len: float | None
     continuous_error_sents: int
-
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "error_sents": self.error_sents,
-            "min_len": self.min_len,
-            "max_len": self.max_len,
-            "avg_len": self.avg_len,
-            "continuous_error_sents": self.continuous_error_sents,
-        }
 
 
 def _has_continuous_error(source: str, target: str) -> bool:

@@ -65,11 +65,6 @@ class PruneConfig:
         if self.k < 1:
             raise LatticeError(f"k must be >= 1, got {self.k}")
 
-    @classmethod
-    def disabled(cls, k: int = 10**6) -> "PruneConfig":
-        """A config under which prune() keeps every candidate unchanged."""
-        return cls(min_logp=-math.inf, max_logp=-0.0, k=k)
-
 
 @dataclass(frozen=True)
 class CorrectionPath:
@@ -159,18 +154,6 @@ def prune(lat: Lattice, cfg: PruneConfig) -> Lattice:
             kept = (cands[0],)
         out.append(kept)
     return Lattice(id=lat.id, input=lat.input, positions=tuple(out))
-
-
-def greedy_path(lat: Lattice) -> CorrectionPath:
-    """Per-position argmax path; raw score is the sum of top log-probs."""
-    tokens = []
-    raw = 0.0
-    for j, cands in enumerate(lat.positions):
-        if not cands:
-            raise LatticeError(f"lattice {lat.id!r}: empty position {j}")
-        tokens.append(cands[0].token)
-        raw += cands[0].logp
-    return CorrectionPath(tokens="".join(tokens), raw_score=raw)
 
 
 def candidate_path_count(lat: Lattice) -> int:

@@ -32,9 +32,6 @@ class NgramModel:
     def __post_init__(self) -> None:
         self.totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
 
-    def logprob(self, char: str, context: str) -> float:
-        return self.logprobs((_BOS * self.order + context)[-self.order :], (char,))[0]
-
     def logprobs(self, ctx: str, chars: Iterable[str]) -> list[float]:
         """Log-probabilities of ``chars`` after the exactly ``order``-char ``ctx``."""
         counter = self.counts.get(ctx) or {}
@@ -123,12 +120,6 @@ class ChannelModel:
             swap_lp = math.log(swap) if swap > 0 else -math.inf
             self._entries[observed] = (tokens, (keep_lp,) + (swap_lp,) * (len(tokens) - 1))
         return self._entries[observed]
-
-    def logprob(self, observed: str, intended: str) -> float:
-        tokens, logps = self.entry(observed)
-        if intended not in tokens:
-            raise ScorerError(f"{intended!r} is not a channel candidate for {observed!r}")
-        return logps[tokens.index(intended)]
 
 
 def _logsumexp(xs: list[float]) -> float:

@@ -1,12 +1,21 @@
+import math
 import random
 
 import pytest
 
 from udspell.confusion import CharConfusion, NgramConfusion, default_char_confusion
-from udspell.lattice import Candidate, make_lattice
+from udspell.lattice import Candidate, PruneConfig, make_lattice
 from udspell.pinyin import default_table
 
 VOCAB = [chr(ord("一") + i) for i in range(20)]
+
+# prune() keeps every candidate of every position under this config
+NO_PRUNE = PruneConfig(min_logp=-math.inf, max_logp=-0.0, k=10**6)
+
+
+def argmax_tokens(lat) -> str:
+    """The per-position argmax path: each position's first candidate."""
+    return "".join(cands[0].token for cands in lat.positions)
 
 
 def random_lattice(rng: random.Random, max_n=6, max_k=3, vocab=None, lattice_id="L"):

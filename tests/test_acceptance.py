@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 from udspell.confusion import NgramConfusion
-from udspell.decoder import DecodeConfig, decode, decode_exhaustive
+from udspell.decoder import DecodeConfig, decode
 from udspell.dictionary import UserDictionary
 from udspell.ecm import EcmConfig, generate_corpus
 from udspell.evaluate import EvalRecord, dataset_stats, read_dataset, sentence_metrics
@@ -26,7 +26,8 @@ from udspell.lattice import (
     prune,
 )
 
-from conftest import VOCAB, make_dense_confusion, random_lattice
+from conftest import NO_PRUNE, VOCAB, argmax_tokens, make_dense_confusion, random_lattice
+from oracle import brute_decode
 from test_decoder import fig3_lattice, med_lattice, random_dictionary
 
 SIGHAN_ENV = "UDSPELL_SIGHAN15"
@@ -36,10 +37,6 @@ def report(capsys, num: int, ok: bool, desc: str) -> None:
     with capsys.disabled():
         print(f"\nacceptance {num}: {'PASS' if ok else 'FAIL'} - {desc}")
     assert ok, f"acceptance criterion {num} failed: {desc}"
-
-
-def argmax_string(lat) -> str:
-    return "".join(pos[0].token for pos in lat.positions)
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +59,8 @@ def test_criterion_1_oracle_equivalence(capsys):
         for eta in (0.0, 1.0, 4.0):
             cfg = DecodeConfig(eta=eta)
             b = decode(lat, dic, cfg)
-            e = decode_exhaustive(lat, dic, cfg)
-            ok = ok and b.total == e.total and b.tokens == e.tokens
+            tokens, _, _, total = brute_decode(lat, dic, cfg)
+            ok = ok and b.total == total and b.tokens == tokens
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
     report(capsys, 1, ok, f"decode == oracle on 500 lattices x 3 etas in {elapsed:.2f}s")
@@ -72,12 +69,12 @@ def test_criterion_1_oracle_equivalence(capsys):
 def test_criterion_2_degeneracy(capsys):
     rng = random.Random(22)
     empty = UserDictionary(())
-    cfg_empty = DecodeConfig(prune=PruneConfig.disabled())
-    cfg_eta0 = DecodeConfig(eta=0.0, prune=PruneConfig.disabled())
+    cfg_empty = DecodeConfig(prune=NO_PRUNE)
+    cfg_eta0 = DecodeConfig(eta=0.0, prune=NO_PRUNE)
     ok = True
     for i in range(1000):
         lat = random_lattice(rng, lattice_id=str(i))
-        want = argmax_string(lat)
+        want = argmax_tokens(lat)
         ok = ok and decode(lat, empty, cfg_empty).tokens == want
         ok = ok and decode(lat, random_dictionary(rng), cfg_eta0).tokens == want
     report(capsys, 2, ok, "empty-dict and eta=0 decodes equal per-position argmax on 1000 lattices")

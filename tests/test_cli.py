@@ -277,6 +277,46 @@ class TestPipeline:
         corr = reports[1]
         assert corr["pre"] == 1.0 and corr["rec"] == 1.0
 
+    def test_eval_json_bytes(self, workdir, capsys):
+        # key order and float formatting are part of the output format
+        records = workdir / "mixed.tsv"
+        records.write_text(
+            "1\t甲乙丙\t甲丁丙\t甲丁丙\n2\t乙丙丁\t乙戊丁\t乙戊丁\n3\t丙丁甲\t丙戊甲\t丙己甲\n"
+            "4\t丁甲乙\t丁甲乙\t丁戊乙\n5\t甲甲乙\t甲甲乙\t甲甲乙\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "eval", "--records", str(records), "--json")
+        assert code == 0
+        assert out == (
+            '[{"level": "detection", "style": "faspell", "acc": 0.8, "pre": 0.75, '
+            '"rec": 1.0, "f1": 0.8571428571428571}, {"level": "correction", '
+            '"style": "faspell", "acc": 0.6, "pre": 0.5, "rec": 0.6666666666666666, '
+            '"f1": 0.5714285714285715}]\n'
+        )
+
+    def test_stats_bytes(self, workdir, capsys):
+        dataset = workdir / "ds.tsv"
+        dataset.write_text(
+            "1\t甲乙丙\t甲乙丙\n2\t甲乙丙丁\t甲戊丙丁\n3\t甲乙丙丁戊\t甲戊己丁戊\n", encoding="utf-8"
+        )
+        empty = workdir / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        want = {
+            (dataset, True): '{"total": 3, "error_sents": 2, "min_len": 3, "max_len": 5, '
+            '"avg_len": 4.0, "continuous_error_sents": 1}\n',
+            (dataset, False): "total                   3\nerror_sents             2\n"
+            "min_len                 3\nmax_len                 5\n"
+            "avg_len                 4.0\ncontinuous_error_sents  1\n",
+            (empty, True): '{"total": 0, "error_sents": 0, "min_len": null, "max_len": null, '
+            '"avg_len": null, "continuous_error_sents": 0}\n',
+            (empty, False): "total                   0\nerror_sents             0\n"
+            "min_len                 n/a\nmax_len                 n/a\n"
+            "avg_len                 n/a\ncontinuous_error_sents  0\n",
+        }
+        for (path, as_json), text in want.items():
+            code, out, _ = run(capsys, "stats", "--dataset", str(path), *(["--json"] * as_json))
+            assert (code, out) == (0, text)
+
     def test_ideal_dict_reproducible(self, workdir, capsys):
         argv = [
             "ideal-dict",

@@ -9,7 +9,6 @@ from udspell.confusion import (
     greedy_segment,
     load_char_confusion,
     load_ngram_confusion,
-    lookup,
     save_ngram_confusion,
 )
 from udspell.errors import ConfusionError
@@ -64,17 +63,17 @@ class TestBuildNgram:
     def test_phrase_pair_same_pinyin(self, char_confusion, pinyin_table):
         corpus = ["一年一年", "意念意念"] * 3
         conf = build_ngram_confusion(corpus, char_confusion, pinyin_table, min_count=2)
-        assert "意念" in lookup("一年", conf)
-        assert "一年" in lookup("意念", conf)
+        assert "意念" in conf.entries.get("一年", set())
+        assert "一年" in conf.entries.get("意念", set())
 
     def test_fuzzy_pair_requires_fuzzy(self, char_confusion, pinyin_table):
         corpus = ["四类四类四类", "室内室内室内"]
         fuzzy = build_ngram_confusion(corpus, char_confusion, pinyin_table, min_count=2)
-        assert "室内" in lookup("四类", fuzzy)
+        assert "室内" in fuzzy.entries.get("四类", set())
         exact = build_ngram_confusion(
             corpus, char_confusion, pinyin_table, min_count=2, fuzzy=False
         )
-        assert "室内" not in lookup("四类", exact)
+        assert "室内" not in exact.entries.get("四类", set())
 
     def test_tiny_corpus_hand_enumeration(self, char_confusion, pinyin_table):
         # only the bigram pair 一年/意念 is confusable among these grams
@@ -107,13 +106,9 @@ class TestBuildNgram:
 
 class TestLookup:
     def test_absent_fragment(self):
-        assert lookup("甲乙", NgramConfusion()) == set()
-
-    def test_length_out_of_range(self):
-        with pytest.raises(ConfusionError):
-            lookup("甲", NgramConfusion())
-        with pytest.raises(ConfusionError):
-            lookup("甲乙丙丁戊", NgramConfusion())
+        conf = NgramConfusion()
+        conf.add_pair("一年", "意念")
+        assert conf.entries.get("甲乙", set()) == set()
 
 
 class TestNgramSerialization:

@@ -11,20 +11,14 @@ from udspell.decoder import (
     DecodeConfig,
     decode,
     decode_corpus,
-    decode_exhaustive,
     path_edits,
 )
-from udspell.dictionary import UserDictionary, asm_reward
+from udspell.dictionary import UserDictionary
 from udspell.errors import DecodeError
-from udspell.lattice import (
-    Candidate,
-    PruneConfig,
-    greedy_path,
-    make_lattice,
-    prune,
-)
+from udspell.lattice import Candidate, PruneConfig, make_lattice, prune
 
-from conftest import VOCAB, random_lattice
+from conftest import NO_PRUNE, VOCAB, argmax_tokens, random_lattice
+from oracle import brute_decode, positions, reference
 
 EMPTY = UserDictionary(())
 
@@ -116,7 +110,31 @@ def tie_heavy_case(draw):
             terms.add("".join(draw(st.sampled_from(row))[0] for row in rows[start:stop]))
     cfg = DecodeConfig(
         eta=draw(st.sampled_from((0.0, 0.5, 4.0))),
-        prune=PruneConfig.disabled(),
+        prune=NO_PRUNE,
+        asm_count_mode=draw(st.sampled_from(("covered", "altered"))),
+    )
+    return lat, UserDictionary(terms), cfg
+
+
+@st.composite
+def reference_case(draw):
+    """A lattice of <= 8 positions x <= 7 candidates, terms spelled by its
+    candidates or its input, and a config under either pruning."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lat = random_lattice(rng, max_n=8, max_k=7)
+    n = len(lat.input)
+    terms = set()
+    for _ in range(rng.randint(0, 5) if n >= 2 else 0):
+        ln = rng.randint(2, min(4, n))
+        start = rng.randint(0, n - ln)
+        if rng.random() < 0.3:
+            terms.add(lat.input[start : start + ln])
+        else:
+            spans = lat.positions[start : start + ln]
+            terms.add("".join(rng.choice(cands).token for cands in spans))
+    cfg = DecodeConfig(
+        eta=draw(st.sampled_from((0.0, 0.5, 4.0, 10.0))),
+        prune=draw(st.sampled_from((PruneConfig(), NO_PRUNE))),
         asm_count_mode=draw(st.sampled_from(("covered", "altered"))),
     )
     return lat, UserDictionary(terms), cfg
@@ -140,8 +158,8 @@ class TestDegeneracy:
         rng = random.Random(0)
         for i in range(100):
             lat = random_lattice(rng, lattice_id=str(i))
-            cfg = DecodeConfig(prune=PruneConfig.disabled())
-            assert decode(lat, EMPTY, cfg).tokens == greedy_path(lat).tokens
+            cfg = DecodeConfig(prune=NO_PRUNE)
+            assert decode(lat, EMPTY, cfg).tokens == argmax_tokens(lat)
 
     def test_eta_zero_equals_greedy_over_pruned(self):
         rng = random.Random(1)
@@ -149,7 +167,7 @@ class TestDegeneracy:
             lat = random_lattice(rng, lattice_id=str(i))
             cfg = DecodeConfig(eta=0.0)
             dic = random_dictionary(rng)
-            assert decode(lat, dic, cfg).tokens == greedy_path(prune(lat, cfg.prune)).tokens
+            assert decode(lat, dic, cfg).tokens == argmax_tokens(prune(lat, cfg.prune))
 
 
 class TestFixtures:
@@ -173,13 +191,10 @@ class TestFixtures:
 class TestExhaustive:
     def test_single_path(self):
         lat = lat_of("甲乙", [[("甲", -0.5)], [("乙", -0.5)]])
-        p = decode_exhaustive(lat, EMPTY, DecodeConfig(prune=PruneConfig.disabled()))
-        assert p.tokens == "甲乙"
-
-    def test_refuses_oversized_search(self):
-        lat = lat_of("甲乙", [[("甲", -0.5), ("乙", -0.6)], [("乙", -0.5), ("丙", -0.6)]])
-        with pytest.raises(DecodeError):
-            decode_exhaustive(lat, EMPTY, DecodeConfig(prune=PruneConfig.disabled()), max_paths=1)
+        cfg = DecodeConfig(prune=NO_PRUNE)
+        p = decode(lat, EMPTY, cfg)
+        assert (p.tokens, p.raw_score, p.dict_score, p.total) == ("甲乙", -1.0, 0, -1.0)
+        assert brute_decode(lat, EMPTY, cfg) == ("甲乙", -1.0, 0, -1.0)
 
     def test_decode_matches_oracle(self):
         rng = random.Random(3)
@@ -189,8 +204,8 @@ class TestExhaustive:
             for eta in (0.0, 1.0, 4.0):
                 cfg = DecodeConfig(eta=eta)
                 b = decode(lat, dic, cfg)
-                e = decode_exhaustive(lat, dic, cfg)
-                assert (b.tokens, b.total) == (e.tokens, e.total)
+                tokens, _, _, total = brute_decode(lat, dic, cfg)
+                assert (b.tokens, b.total) == (tokens, total)
 
     @pytest.mark.parametrize("mode", ["covered", "altered"])
     def test_dense_lattices_match_oracle(self, mode):
@@ -199,16 +214,32 @@ class TestExhaustive:
         for i in range(20):
             lat, dic = dense_lattice(rng, str(i))
             b = decode(lat, dic, cfg)
-            e = decode_exhaustive(lat, dic, cfg)
-            assert (b.tokens, b.total) == (e.tokens, e.total), lat.id
+            tokens, _, _, total = brute_decode(lat, dic, cfg)
+            assert (b.tokens, b.total) == (tokens, total), lat.id
 
     @given(tie_heavy_case())
     @settings(max_examples=300, deadline=None)
     def test_tie_heavy_lattices_match_oracle(self, case):
         lat, dic, cfg = case
         b = decode(lat, dic, cfg)
-        e = decode_exhaustive(lat, dic, cfg)
-        assert (b.tokens, b.raw_score, b.dict_score) == (e.tokens, e.raw_score, e.dict_score)
+        assert (b.tokens, b.raw_score, b.dict_score) == brute_decode(lat, dic, cfg)[:3]
+        # with no input span pinned, a best path that earns no reward has the
+        # highest raw score of all paths, so the dictionary changes nothing
+        if b.dict_score == 0 and not (cfg.eta and any(t in lat.input for t in dic.terms)):
+            assert (b.tokens, b.raw_score) == brute_decode(lat, EMPTY, cfg)[:2]
+
+    @given(reference_case())
+    @settings(max_examples=300, deadline=None)
+    def test_total_matches_reference_program(self, case):
+        lat, dic, cfg = case
+        want = reference.best_total(
+            lat.input, positions(lat, dic, cfg), dic.terms, cfg.eta, cfg.asm_count_mode
+        )
+        assert abs(decode(lat, dic, cfg).total - want) <= 1e-9
+
+    def test_reference_program_matches_brute_force(self):
+        # the dynamic program above is itself checked against enumeration
+        assert reference.self_test() == 150 * 4 * 2 * 2
 
 
 class TestInvariants:
@@ -236,7 +267,7 @@ class TestInvariants:
             lat = random_lattice(rng, lattice_id=str(i))
             dic = random_dictionary(rng)
             p = decode(lat, dic)
-            recheck = asm_reward(lat.input, p.tokens, dic)
+            recheck = reference.asm_reward(lat.input, p.tokens, dic.terms)
             assert p.dict_score == recheck
             assert p.total == pytest.approx(p.raw_score + 4.0 * recheck)
 
@@ -271,7 +302,7 @@ class TestDecodeCorpus:
         rng = random.Random(8)
         lats = [random_lattice(rng, lattice_id=str(i)) for i in range(100)]
         dic = random_dictionary(rng)
-        oracle = [decode_exhaustive(lat, dic).tokens for lat in lats]
+        oracle = [brute_decode(lat, dic, DecodeConfig())[0] for lat in lats]
         results = list(decode_corpus(lats, dic))
         assert [p.tokens for _, p in results] == oracle
 

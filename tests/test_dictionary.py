@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from udspell.dictionary import (
     AhoCorasick,
     UserDictionary,
-    asm_reward,
     build_ideal_dictionary,
     error_phrases,
     load_dictionary,
-    rsm_spans,
+    rsm_fixed_positions,
 )
 from udspell.errors import DictionaryError
+
+from oracle import reference
 
 ALPHA = "甲乙丙丁戊"
 
@@ -63,29 +64,28 @@ class TestLoadDictionary:
 
 
 class TestRsmSpans:
+    """The input positions that raw-span matches pin."""
+
     def test_single_occurrence(self):
         dic = UserDictionary({"审查案件"})
-        spans = rsm_spans("依法审查案件", dic)
-        assert [(m.start, m.end, m.term) for m in spans] == [(2, 6, "审查案件")]
+        assert rsm_fixed_positions("依法审查案件", dic) == {2, 3, 4, 5}
 
     def test_no_match(self):
         dic = UserDictionary({"审查案件"})
-        assert rsm_spans("人民法院", dic) == []
+        assert rsm_fixed_positions("人民法院", dic) == set()
 
     def test_overlapping_terms_both_reported(self):
-        dic = UserDictionary({"案件", "审查案件"})
-        spans = rsm_spans("依法审查案件", dic)
-        assert {(m.start, m.end) for m in spans} == {(2, 6), (4, 6)}
+        dic = UserDictionary({"法审", "审查案"})
+        assert rsm_fixed_positions("依法审查案件", dic) == {1, 2, 3, 4}
 
-    def test_empty_input_raises(self):
-        with pytest.raises(DictionaryError):
-            rsm_spans("", UserDictionary({"案件"}))
+    def test_empty_input_pins_nothing(self):
+        assert rsm_fixed_positions("", UserDictionary({"案件"})) == set()
 
     @given(text_strategy, terms_strategy)
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_substring_scan(self, text, terms):
-        dic = UserDictionary(terms)
-        assert {(m.start, m.end) for m in rsm_spans(text, dic)} == naive_spans(text, terms)
+        want = {i for s, e in naive_spans(text, terms) for i in range(s, e)}
+        assert rsm_fixed_positions(text, UserDictionary(terms)) == want
 
 
 class TestAutomaton:
@@ -104,35 +104,37 @@ class TestAutomaton:
 
 
 class TestAsmReward:
+    """Hand-computed rewards for the reference rule the decode oracle uses."""
+
     def test_flagship_case(self):
-        dic = UserDictionary({"人民检察院"})
+        terms = {"人民检察院"}
         inp = "人民监查员依法审查案件"
         path = "人民检察院依法审查案件"
-        assert asm_reward(inp, path, dic) == 5
+        assert reference.asm_reward(inp, path, terms) == 5
 
     def test_identity_path_scores_zero(self):
-        dic = UserDictionary({"人民检察院"})
+        terms = {"人民检察院"}
         inp = "人民检察院依法审查案件"
-        assert asm_reward(inp, inp, dic) == 0
+        assert reference.asm_reward(inp, inp, terms) == 0
 
     def test_unaltered_occurrence_contributes_nothing(self):
-        dic = UserDictionary({"审查案件"})
+        terms = {"审查案件"}
         inp = "人民监查员依法审查案件"
         path = "人民检察院依法审查案件"  # term occurs only over unaltered tail
-        assert asm_reward(inp, path, dic) == 0
+        assert reference.asm_reward(inp, path, terms) == 0
 
     def test_altered_count_mode(self):
-        dic = UserDictionary({"人民检察院"})
+        terms = {"人民检察院"}
         inp = "人民监查员依法审查案件"
         path = "人民检察院依法审查案件"
-        assert asm_reward(inp, path, dic, count_mode="altered") == 3
+        assert reference.asm_reward(inp, path, terms, "altered") == 3
 
     def test_overlaps_not_double_counted(self):
-        dic = UserDictionary({"甲乙丙", "乙丙丁"})
+        terms = {"甲乙丙", "乙丙丁"}
         inp = "甲乙乙丁"
         path = "甲乙丙丁"
         # both terms occur, both altered (position 2); union covers 4 positions
-        assert asm_reward(inp, path, dic) == 4
+        assert reference.asm_reward(inp, path, terms) == 4
 
     def test_monotone_in_dictionary(self):
         rng = random.Random(0)
@@ -143,17 +145,9 @@ class TestAsmReward:
             )
             terms = {"".join(rng.choice(ALPHA) for _ in range(2)) for _ in range(3)}
             extra = terms | {"".join(rng.choice(ALPHA) for _ in range(3))}
-            assert asm_reward(inp, path, UserDictionary(extra)) >= asm_reward(
-                inp, path, UserDictionary(terms)
+            assert reference.asm_reward(inp, path, extra) >= reference.asm_reward(
+                inp, path, terms
             )
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(DictionaryError):
-            asm_reward("甲乙", "甲", UserDictionary({"甲乙"}))
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(DictionaryError):
-            asm_reward("甲乙", "甲乙", UserDictionary({"甲乙"}), count_mode="bogus")
 
 
 class TestIdealDictionary:

@@ -8,23 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udspell.errors import LatticeError
+from udspell.decoder import DecodeConfig, decode
+from udspell.dictionary import UserDictionary
+from udspell.errors import DecodeError, LatticeError
 from udspell.lattice import (
     Lattice,
     PruneConfig,
     candidate_path_count,
-    greedy_path,
     make_lattice,
     parse_lattice,
     prune,
     serialize_lattice,
 )
 
-from conftest import random_lattice
+from conftest import NO_PRUNE, argmax_tokens, random_lattice
 
 
 def lat_of(input_s, rows):
     return make_lattice("t", input_s, rows)
+
+
+def greedy_decode(lat):
+    return decode(lat, UserDictionary(()), DecodeConfig(prune=NO_PRUNE))
 
 
 def record(input_s, rows, lattice_id="x"):
@@ -178,7 +183,7 @@ class TestPrune:
         rng = random.Random(5)
         for _ in range(30):
             lat = random_lattice(rng)
-            assert prune(lat, PruneConfig.disabled()) == lat
+            assert prune(lat, NO_PRUNE) == lat
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=150, deadline=None)
@@ -191,32 +196,35 @@ class TestPrune:
 
 
 class TestGreedyPath:
+    """The per-position argmax path, which decode returns for an empty dictionary."""
+
     def test_argmax_path(self):
         lat = lat_of("xyz", [[("a", -0.5), ("x", -1.0)], [("b", -0.5)], [("c", -0.5)]])
-        p = greedy_path(lat)
+        p = greedy_decode(lat)
         assert p.tokens == "abc"
         assert p.raw_score == pytest.approx(-1.5)
 
     def test_single_position(self):
         lat = lat_of("x", [[("x", -0.5)]])
-        p = greedy_path(lat)
+        p = greedy_decode(lat)
         assert (p.tokens, p.raw_score) == ("x", -0.5)
 
     def test_matches_exhaustive_max(self):
         rng = random.Random(9)
         for _ in range(30):
             lat = random_lattice(rng, max_n=3, max_k=2)
-            p = greedy_path(lat)
+            p = greedy_decode(lat)
             best = max(
                 itertools.product(*lat.positions),
                 key=lambda combo: sum(c.logp for c in combo),
             )
             assert p.raw_score == pytest.approx(sum(c.logp for c in best))
+            assert p.tokens == argmax_tokens(lat)
 
     def test_empty_position_is_contract_violation(self):
         lat = Lattice("x", "a", ((),))
-        with pytest.raises(LatticeError):
-            greedy_path(lat)
+        with pytest.raises(DecodeError):
+            greedy_decode(lat)
 
 
 class TestPathCount:

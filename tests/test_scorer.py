@@ -29,12 +29,12 @@ class TestTrain:
         model = train(["甲乙", "甲乙", "甲丁"], order=1, alpha=0.1)
         v = len(model.vocab)
         want = math.log((2 + 0.1) / (3 + 0.1 * v))
-        assert model.logprob("乙", "甲") == pytest.approx(want)
+        assert model.logprobs("甲", ("乙",))[0] == pytest.approx(want)
 
     def test_unseen_context_backs_off_to_uniform(self):
         model = train(["甲乙"], order=1, alpha=0.1)
         v = len(model.vocab)
-        assert model.logprob("乙", "戊") == pytest.approx(math.log(0.1 / (0.1 * v)))
+        assert model.logprobs("戊", ("乙",))[0] == pytest.approx(math.log(0.1 / (0.1 * v)))
 
     def test_bad_params(self):
         with pytest.raises(ScorerError):
@@ -47,7 +47,7 @@ class TestTrain:
     def test_probabilities_normalize(self):
         model = train(["甲乙丙甲乙丁", "乙丙丁"], order=2)
         for ctx in list(model.counts)[:5]:
-            total = sum(math.exp(model.logprob(c, ctx)) for c in model.vocab)
+            total = sum(math.exp(lp) for lp in model.logprobs(ctx, model.vocab))
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -88,17 +88,13 @@ class TestSerialization:
 class TestChannel:
     def test_keep_probability(self):
         ch = ChannelModel(tiny_confusion(), p_keep=0.9)
-        assert ch.logprob("乙", "乙") == pytest.approx(math.log(0.9))
-        assert ch.logprob("乙", "丁") == pytest.approx(math.log(0.1))
+        tokens, logps = ch.entry("乙")
+        assert tokens == ("乙", "丁")
+        assert logps == pytest.approx((math.log(0.9), math.log(0.1)))
 
     def test_char_without_candidates_keeps_certainly(self):
         ch = ChannelModel(tiny_confusion(), p_keep=0.9)
-        assert ch.logprob("甲", "甲") == 0.0
-
-    def test_non_candidate_rejected(self):
-        ch = ChannelModel(tiny_confusion())
-        with pytest.raises(ScorerError):
-            ch.logprob("乙", "戊")
+        assert ch.entry("甲") == (("甲",), (0.0,))
 
     def test_bad_p_keep(self):
         with pytest.raises(ScorerError):
