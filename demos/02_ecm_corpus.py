@@ -30,7 +30,7 @@ def main():
     chars = default_char_confusion(pinyin)
 
     print("building fragment confusion sets from the corpus ...")
-    ngrams = build_ngram_confusion(CORPUS, chars, pinyin, min_count=2)
+    ngrams = build_ngram_confusion(CORPUS, pinyin, min_count=2)
     print(f"  {ngrams.size} fragments paired, e.g.:")
     for frag in sorted(ngrams.entries)[:4]:
         print(f"    {frag} <-> {', '.join(sorted(ngrams.entries[frag]))}")

@@ -40,7 +40,13 @@ def _proportion(value: str) -> float:
 
 
 def _read_lines(path: Path) -> list[str]:
+    """A corpus's non-blank lines; their index sets each sentence's seed."""
     return [ln for ln in path.read_text("utf-8").splitlines() if ln.strip()]
+
+
+def _read_table(path: Path) -> list[str]:
+    """Every line of a table file, so that loader errors give file line numbers."""
+    return path.read_text("utf-8").splitlines()
 
 
 def _out_handle(stack: ExitStack, path: str | None) -> IO[str]:
@@ -52,7 +58,7 @@ def _out_handle(stack: ExitStack, path: str | None) -> IO[str]:
 def _load_pinyin(path: Path | None):
     if path is None:
         return default_table()
-    return load_pinyin_table(_read_lines(path))
+    return load_pinyin_table(_read_table(path))
 
 
 def _add_ecm_flags(p: argparse.ArgumentParser) -> None:
@@ -72,7 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-confusion", help="build the fragment confusion set from a corpus")
     p.add_argument("--corpus", type=_existing_file, required=True)
-    p.add_argument("--char-confusion", type=_existing_file, required=True)
+    p.add_argument(
+        "--char-confusion",
+        type=_existing_file,
+        default=None,
+        help="ignored; accepted so that older command lines still parse",
+    )
     p.add_argument("--pinyin", type=_existing_file, default=None, help="defaults to the bundled table")
     p.add_argument("--min-count", type=int, default=5)
     p.add_argument("--no-fuzzy", action="store_true", help="require exact tone-less pinyin matches")
@@ -140,14 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build_confusion(args, out: IO[str]) -> None:
-    pinyin = _load_pinyin(args.pinyin)
-    char_conf = confusion_mod.load_char_confusion(
-        _read_lines(args.char_confusion), pinyin_table=pinyin, fuzzy=not args.no_fuzzy
-    )
     conf = confusion_mod.build_ngram_confusion(
         _read_lines(args.corpus),
-        char_conf,
-        pinyin,
+        _load_pinyin(args.pinyin),
         min_count=args.min_count,
         fuzzy=not args.no_fuzzy,
     )
@@ -157,10 +163,10 @@ def _cmd_build_confusion(args, out: IO[str]) -> None:
 def _cmd_gen_corpus(args, out: IO[str]) -> None:
     pinyin = _load_pinyin(args.pinyin)
     char_conf = confusion_mod.load_char_confusion(
-        _read_lines(args.char_confusion), pinyin_table=pinyin
+        _read_table(args.char_confusion), pinyin_table=pinyin
     )
     if args.ngram_confusion is not None:
-        ngram = confusion_mod.load_ngram_confusion(_read_lines(args.ngram_confusion))
+        ngram = confusion_mod.load_ngram_confusion(_read_table(args.ngram_confusion))
     else:
         ngram = confusion_mod.NgramConfusion()
     cfg = ecm_mod.EcmConfig(
@@ -186,7 +192,7 @@ def _cmd_score(args, out: IO[str]) -> None:
         model = scorer_mod.load_model(fh)
     pinyin = _load_pinyin(args.pinyin)
     char_conf = confusion_mod.load_char_confusion(
-        _read_lines(args.char_confusion), pinyin_table=pinyin
+        _read_table(args.char_confusion), pinyin_table=pinyin
     )
     channel = scorer_mod.ChannelModel(confusion=char_conf, p_keep=args.p_keep)
     sentences = args.input.read_text("utf-8").splitlines()  # ids are line numbers
@@ -194,7 +200,7 @@ def _cmd_score(args, out: IO[str]) -> None:
 
 
 def _cmd_decode(args, out: IO[str]) -> None:
-    dic = load_dictionary(_read_lines(args.dict)) if args.dict is not None else UserDictionary(())
+    dic = load_dictionary(_read_table(args.dict)) if args.dict is not None else UserDictionary(())
     cfg = DecodeConfig(
         eta=args.eta,
         prune=PruneConfig(min_logp=args.min_logp, max_logp=args.max_logp, k=args.topk),
@@ -238,7 +244,7 @@ def _cmd_decode(args, out: IO[str]) -> None:
 
 
 def _cmd_eval(args, out: IO[str]) -> None:
-    records = eval_mod.read_eval_records(_read_lines(args.records))
+    records = eval_mod.read_eval_records(_read_table(args.records))
     reports = eval_mod.all_metrics(records, style=args.style)
     if args.json:
         print(json.dumps([asdict(r) for r in reports]), file=out)
@@ -249,7 +255,7 @@ def _cmd_eval(args, out: IO[str]) -> None:
 
 
 def _cmd_stats(args, out: IO[str]) -> None:
-    stats = eval_mod.dataset_stats(eval_mod.read_dataset(_read_lines(args.dataset)))
+    stats = eval_mod.dataset_stats(eval_mod.read_dataset(_read_table(args.dataset)))
     if args.json:
         print(json.dumps(asdict(stats)), file=out)
     else:
@@ -258,7 +264,7 @@ def _cmd_stats(args, out: IO[str]) -> None:
 
 
 def _cmd_ideal_dict(args, out: IO[str]) -> None:
-    pairs = eval_mod.read_dataset(_read_lines(args.dataset))
+    pairs = eval_mod.read_dataset(_read_table(args.dataset))
     dic = build_ideal_dictionary(pairs, proportion=args.proportion, seed=args.seed)
     for term in sorted(dic.terms):
         out.write(term + "\n")

@@ -1,10 +1,9 @@
 """Confusion sets: single-character phonetic/morphological maps and the
 fragment-level (2-4 char) confusion set built from a corpus.
 
-The fragment set is assembled in three passes: harvest frequent 2/3/4-grams,
-pair grams whose characters are position-wise phonetic-confusable, then
-segment the corpus into phrases and pair phrases through a corpus-derived
-pinyin-to-characters inverse map. Entries are inserted symmetrically.
+The fragment set is built in one pass over the frequent 2/3/4-grams of the
+corpus: grams that share a tone-less (optionally fuzzy) pinyin key tuple are
+paired. Entries are inserted symmetrically.
 """
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import product
+from itertools import combinations, islice, product
 from typing import IO, Iterable
 
 from .errors import ConfusionError
@@ -21,6 +20,7 @@ from .pinyin import PinyinTable
 logger = logging.getLogger(__name__)
 
 NGRAM_LENGTHS = (2, 3, 4)
+MAX_FRAGMENT_KEYS = 16  # reading combinations kept per fragment
 
 _CJK_RANGE = ("一", "鿿")
 
@@ -72,7 +72,6 @@ class CharConfusion:
 def load_char_confusion(
     stream: Iterable[str] | IO[str],
     pinyin_table: PinyinTable | None = None,
-    fuzzy: bool = True,
 ) -> CharConfusion:
     """Load ``char<TAB>P|M<TAB>cand1,cand2,...`` lines.
 
@@ -107,7 +106,7 @@ def load_char_confusion(
                 and pinyin_table is not None
                 and char in pinyin_table
                 and c in pinyin_table
-                and not pinyin_table.similar(char, c, fuzzy=fuzzy)
+                and not pinyin_table.similar(char, c)
             ):
                 dropped_dissimilar += 1
                 continue
@@ -170,67 +169,33 @@ def load_ngram_confusion(stream: Iterable[str] | IO[str]) -> NgramConfusion:
     return conf
 
 
-def greedy_segment(text: str, words: set[str], max_len: int = 4) -> list[str]:
-    """Greedy left-to-right longest-match segmentation against a word set."""
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        match = text[i]
-        for ln in range(min(max_len, n - i), 1, -1):
-            if text[i : i + ln] in words:
-                match = text[i : i + ln]
-                break
-        out.append(match)
-        i += len(match)
-    return out
-
-
-def _fragment_keys(
-    frag: str, pinyin: PinyinTable, fuzzy: bool, max_keys: int = 16
-) -> list[tuple[str, ...]]:
+def _fragment_keys(frag: str, pinyin: PinyinTable, fuzzy: bool) -> list[tuple[str, ...]]:
     """Tone-less (optionally fuzzy) pinyin key tuples for a fragment.
 
-    Polyphones contribute every reading combination, capped at ``max_keys``.
-    Returns [] when any character is missing from the table.
+    Polyphones contribute every reading combination, capped at
+    ``MAX_FRAGMENT_KEYS``. Returns [] when any character is missing from the
+    table.
     """
     per_char = []
     for c in frag:
         if c not in pinyin:
             return []
         per_char.append(sorted({r.fuzzy_key(fuzzy) for r in pinyin.readings(c)}))
-    keys = []
-    for combo in product(*per_char):
-        keys.append(tuple(combo))
-        if len(keys) >= max_keys:
-            break
-    return keys
-
-
-def _chars_confusable(
-    a: str, b: str, char_conf: CharConfusion, pinyin: PinyinTable, fuzzy: bool
-) -> bool:
-    if a == b:
-        return True
-    if b in char_conf.phonetic_candidates(a) or a in char_conf.phonetic_candidates(b):
-        return True
-    return pinyin.similar(a, b, fuzzy=fuzzy)
+    return list(islice(product(*per_char), MAX_FRAGMENT_KEYS))
 
 
 def build_ngram_confusion(
     corpus: Iterable[str],
-    char_conf: CharConfusion,
     pinyin: PinyinTable,
     min_count: int = 5,
     fuzzy: bool = True,
 ) -> NgramConfusion:
     """Build the fragment confusion set from a sentence corpus.
 
-    Pass 1 harvests 2/3/4-grams occurring at least ``min_count`` times.
-    Pass 2 pairs same-length grams that are position-wise phonetic-confusable.
-    Pass 3 segments the corpus into phrases with the harvested grams as the
-    word list, and pairs medium/high-frequency phrases through the corpus
-    pinyin inverse map. All pairs are inserted in both directions.
+    The 2/3/4-grams occurring at least ``min_count`` times are paired when
+    they share a pinyin key tuple, which makes every pair the same length
+    and its characters phonetically similar position by position. All pairs
+    are inserted in both directions.
     """
     if min_count < 1:
         raise ConfusionError(f"min_count must be >= 1, got {min_count}")
@@ -244,46 +209,23 @@ def build_ngram_confusion(
             for ln in NGRAM_LENGTHS:
                 for i in range(len(run) - ln + 1):
                     gram_counts[run[i : i + ln]] += 1
-    grams = {g for g, c in gram_counts.items() if c >= min_count}
 
+    buckets: dict[tuple[str, ...], list[str]] = {}
+    skipped = 0
+    for gram in sorted(g for g, c in gram_counts.items() if c >= min_count):
+        keys = _fragment_keys(gram, pinyin, fuzzy)
+        if not keys:
+            skipped += 1
+        for key in keys:
+            buckets.setdefault(key, []).append(gram)
     conf = NgramConfusion()
-    skipped_chars = 0
+    for members in buckets.values():
+        for a, b in combinations(members, 2):
+            conf.add_pair(a, b)
 
-    def pair_bucketed(frags: Iterable[str]) -> None:
-        nonlocal skipped_chars
-        buckets: dict[tuple[str, ...], list[str]] = {}
-        for frag in sorted(frags):
-            keys = _fragment_keys(frag, pinyin, fuzzy)
-            if not keys:
-                skipped_chars += 1
-                continue
-            for key in keys:
-                buckets.setdefault(key, []).append(frag)
-        for members in buckets.values():
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    if a != b and all(
-                        _chars_confusable(x, y, char_conf, pinyin, fuzzy)
-                        for x, y in zip(a, b)
-                    ):
-                        conf.add_pair(a, b)
-
-    # Pass 2: frequent grams with position-wise confusable characters.
-    pair_bucketed(grams)
-
-    # Pass 3: phrases from greedy segmentation, paired via the pinyin inverse map.
-    phrase_counts: Counter[str] = Counter()
-    for sent in sentences:
-        for run in chinese_runs(sent):
-            for word in greedy_segment(run, grams):
-                if len(word) in NGRAM_LENGTHS:
-                    phrase_counts[word] += 1
-    phrases = {p for p, c in phrase_counts.items() if c >= min_count}
-    pair_bucketed(phrases)
-
-    if skipped_chars:
+    if skipped:
         logger.warning(
             "skipped %d fragments containing characters missing from the pinyin table",
-            skipped_chars,
+            skipped,
         )
     return conf

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import logging
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import IO, Iterable, Iterator
 
-from .confusion import greedy_segment
 from .errors import DictionaryError
 
 logger = logging.getLogger(__name__)
+
+MAX_WORD_LEN = 4  # longest gram of the word list that stands in for a lexicon
 
 
 class AhoCorasick:
@@ -145,32 +146,45 @@ def _diff_runs(source: str, target: str) -> list[tuple[int, int]]:
     return runs
 
 
-def error_phrases(
-    pairs: Iterable[tuple[str, str]], wordlist: set[str] | None = None
-) -> set[str]:
+def greedy_segment(text: str, words: set[str]) -> list[str]:
+    """Greedy left-to-right longest-match segmentation against a word set."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        match = text[i]
+        for ln in range(min(MAX_WORD_LEN, n - i), 1, -1):
+            if text[i : i + ln] in words:
+                match = text[i : i + ln]
+                break
+        out.append(match)
+        i += len(match)
+    return out
+
+
+def error_phrases(pairs: Iterable[tuple[str, str]]) -> set[str]:
     """Distinct gold-side phrases around the error positions of (source, target) pairs.
 
     Each contiguous corrected run is extended to the boundaries of the word
     containing it under greedy segmentation of the target; phrases shorter
-    than 2 characters are widened by one character where possible.
+    than 2 characters are widened by one character where possible. The
+    2-4 character grams seen at least twice among the gold sentences stand
+    in for a word list.
     """
     pairs = list(pairs)
-    if wordlist is None:
-        # high-frequency grams of the gold sentences stand in for a word list
-        from collections import Counter
-
-        counts: Counter[str] = Counter()
-        for _, target in pairs:
-            for ln in (2, 3, 4):
-                for i in range(len(target) - ln + 1):
-                    counts[target[i : i + ln]] += 1
-        wordlist = {g for g, c in counts.items() if c >= 2}
+    counts: Counter[str] = Counter()
+    for _, target in pairs:
+        for ln in range(2, MAX_WORD_LEN + 1):
+            for i in range(len(target) - ln + 1):
+                counts[target[i : i + ln]] += 1
+    wordlist = {g for g, c in counts.items() if c >= 2}
 
     phrases: set[str] = set()
     for source, target in pairs:
         if len(source) != len(target):
             raise DictionaryError("dataset pair lengths differ")
-        if not _diff_runs(source, target):
+        runs = _diff_runs(source, target)
+        if not runs:
             continue
         # word boundaries of the segmented target
         bounds = []
@@ -178,7 +192,7 @@ def error_phrases(
         for word in greedy_segment(target, wordlist):
             bounds.append((i, i + len(word)))
             i += len(word)
-        for rs, re_ in _diff_runs(source, target):
+        for rs, re_ in runs:
             lo = min(b[0] for b in bounds if b[1] > rs)
             hi = max(b[1] for b in bounds if b[0] < re_)
             if hi - lo < 2:
@@ -191,15 +205,12 @@ def error_phrases(
 
 
 def build_ideal_dictionary(
-    pairs: Iterable[tuple[str, str]],
-    proportion: float,
-    seed: int = 0,
-    wordlist: set[str] | None = None,
+    pairs: Iterable[tuple[str, str]], proportion: float, seed: int = 0
 ) -> UserDictionary:
     """Sample the given proportion of distinct gold error phrases into a dictionary."""
     if not (0.0 <= proportion <= 1.0):
         raise DictionaryError(f"proportion must be in [0, 1], got {proportion}")
-    phrases = sorted(error_phrases(pairs, wordlist=wordlist))
+    phrases = sorted(error_phrases(pairs))
     count = round(proportion * len(phrases))
     rng = random.Random(seed)
     return UserDictionary(rng.sample(phrases, count))

@@ -103,6 +103,35 @@ class TestExitCodes:
         code, _, err = run(capsys, "stats", "--dataset", str(bad))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "command, flag, bad_line",
+        [
+            ("gen-corpus", "--char-confusion", "报\tQ\t抱"),
+            ("gen-corpus", "--pinyin", "报"),
+            ("gen-corpus", "--ngram-confusion", "一年"),
+            ("eval", "--records", "only-one-field"),
+            ("stats", "--dataset", "only-one-field"),
+            ("ideal-dict", "--dataset", "only-one-field"),
+        ],
+        ids=["char-confusion", "pinyin", "ngram-confusion", "records", "stats", "ideal-dict"],
+    )
+    def test_loader_errors_give_file_line_numbers(
+        self, workdir, capsys, command, flag, bad_line
+    ):
+        """Blank lines count: the bad entry below is reported as line 4."""
+        bad = workdir / "bad.tsv"
+        bad.write_text(f"# header\n\n\n{bad_line}\n", encoding="utf-8")
+        base = {
+            "gen-corpus": ["--corpus", "corpus.txt", "--char-confusion", "chars.tsv"],
+            "eval": [],
+            "stats": [],
+            "ideal-dict": ["--proportion", "1"],
+        }[command]
+        argv = [str(workdir / a) if a.endswith((".txt", ".tsv")) else a for a in base]
+        argv += [flag, str(bad)]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 2 and "line 4:" in err, err
+
 
 class TestPipeline:
     def train(self, workdir, capsys):
@@ -266,6 +295,20 @@ class TestPipeline:
         assert code == 0
         stats = json.loads(out)
         assert stats["total"] == 2 and stats["error_sents"] == 1
+
+    def test_build_confusion_does_not_read_char_confusion(self, workdir, capsys):
+        corpus = workdir / "pairs.txt"
+        corpus.write_text("一年好\n一年大\n意念好\n意念大\n" * 2, encoding="utf-8")
+        unreadable = workdir / "unreadable.tsv"
+        unreadable.write_text("not a confusion table\n", encoding="utf-8")
+        outputs = []
+        for tables in ([], ["--char-confusion", str(unreadable)]):
+            code, out, _ = run(
+                capsys, "build-confusion", "--corpus", str(corpus), "--min-count", "2", *tables
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] and "一年\t意念\n" in outputs[0]
 
     def test_eval_json(self, workdir, capsys):
         code, out, _ = run(

@@ -9,6 +9,7 @@ from udspell.dictionary import (
     UserDictionary,
     build_ideal_dictionary,
     error_phrases,
+    greedy_segment,
     load_dictionary,
     rsm_fixed_positions,
 )
@@ -35,6 +36,15 @@ def naive_spans(text, terms):
             found.add((i, i + len(term)))
             start = i + 1
     return found
+
+
+class TestSegmentation:
+    def test_greedy_longest_match(self):
+        words = {"审查", "审查案件", "案件"}
+        assert greedy_segment("审查案件了", words) == ["审查案件", "了"]
+
+    def test_no_match_falls_back_to_chars(self):
+        assert greedy_segment("甲乙", set()) == ["甲", "乙"]
 
 
 class TestLoadDictionary:

@@ -2,10 +2,13 @@
 
 The inputs and the expected outputs live in ``tests/golden/``. The pinned
 outputs are the ``score`` lattice JSONL, the ``decode`` JSONL and its stderr
-summary, and two ``gen-corpus`` ECM corpora: one from the short sentences
-with no pinyin table or fragment file, and one from the inputs in
+summary, two ``gen-corpus`` ECM corpora and one ``build-confusion``
+fragment set. The first corpus comes from the short sentences with no
+pinyin table or fragment file, the second from the inputs in
 ``tests/golden/ecm/`` (sentences of 14+ characters, a pinyin table with
-polyphones, a fragment file) that runs every kind of edit. A change that alters any of them
+polyphones, a fragment file) and runs every kind of edit. The fragment set
+is built from the same ``tests/golden/ecm/`` corpus and pinyin table, with
+a cutoff low enough that fragments pair. A change that alters any of them
 changes what users get from the same inputs, so it has to be deliberate:
 regenerate with ``PYTHONPATH=src python3 tests/test_golden.py`` and review
 the diff.
@@ -23,7 +26,14 @@ from udspell.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected"
 ECM = GOLDEN / "ecm"
-NAMES = ("lattice.jsonl", "decode.jsonl", "decode.stderr", "ecm.tsv", "ecm_fragments.tsv")
+NAMES = (
+    "lattice.jsonl",
+    "decode.jsonl",
+    "decode.stderr",
+    "ecm.tsv",
+    "ecm_fragments.tsv",
+    "build_confusion.tsv",
+)
 
 
 def _run(*argv: str) -> tuple[str, str]:
@@ -35,7 +45,8 @@ def _run(*argv: str) -> tuple[str, str]:
 
 
 def produce(workdir: Path) -> dict[str, str]:
-    """Run train-scorer, score, decode and gen-corpus on the golden inputs."""
+    """Run train-scorer, score, decode, gen-corpus and build-confusion on the
+    golden inputs."""
     model = workdir / "model.tsv"
     _run("train-scorer", "--corpus", str(GOLDEN / "corpus.txt"), "--out", str(model))
     lattices, _ = _run(
@@ -64,7 +75,16 @@ def produce(workdir: Path) -> dict[str, str]:
         "--ngram-confusion", str(ECM / "fragments.tsv"),
         "--seed", "10",
     )
-    return dict(zip(NAMES, (lattices, decoded, summary, corpus, fragment_corpus)))
+    fragments, _ = _run(
+        "build-confusion",
+        "--corpus", str(ECM / "corpus.txt"),
+        "--char-confusion", str(ECM / "chars.tsv"),
+        "--pinyin", str(ECM / "pinyin.tsv"),
+        "--min-count", "1",
+    )
+    return dict(
+        zip(NAMES, (lattices, decoded, summary, corpus, fragment_corpus, fragments))
+    )
 
 
 @pytest.fixture(scope="module")

@@ -133,6 +133,21 @@ class TestPhoneticSimilar:
         sa, sb = decompose(a), decompose(b)
         assert phonetic_similar(sa, sb) == phonetic_similar(sb, sa)
 
+    @pytest.mark.parametrize("fuzzy", [True, False])
+    def test_equal_fuzzy_key_implies_similar(self, fuzzy):
+        """Fragments are paired on equal keys alone, which relies on this."""
+        by_key = {}
+        for s in all_valid_syllables():
+            for tone in "14":
+                syl = decompose(s[:-1] + tone)
+                by_key.setdefault(syl.fuzzy_key(fuzzy), []).append(syl)
+        # fuzzy keys merge distinct tone-less spellings; exact keys only tones
+        merged = any(len({syl.toneless for syl in g}) > 1 for g in by_key.values())
+        assert merged == fuzzy
+        for group in by_key.values():
+            for a, b in product(group, group):
+                assert phonetic_similar(a, b, fuzzy), (a, b)
+
 
 class TestPinyinTable:
     def test_load_and_lookup(self):
