@@ -14,7 +14,7 @@ from importlib import resources
 from itertools import combinations, islice, product
 from typing import IO, Iterable
 
-from .errors import ConfusionError
+from .errors import ConfusionError, table_rows
 from .pinyin import PinyinTable
 
 logger = logging.getLogger(__name__)
@@ -82,22 +82,19 @@ def load_char_confusion(
     conf = CharConfusion()
     dropped_self = 0
     dropped_dissimilar = 0
-    for ln, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or len(parts[0]) != 1:
-            raise ConfusionError(f"line {ln}: bad confusion entry {line!r}")
-        char, tag, cands_s = parts
+    for ln, (char, tag, cands_s) in table_rows(stream, 3, ConfusionError, "confusion entry"):
+        if len(char) != 1:
+            raise ConfusionError(f"line {ln}: confused character {char!r} is not one character")
         if tag not in ("P", "M"):
             raise ConfusionError(f"line {ln}: unknown confusion type tag {tag!r}")
         target = conf.phonetic if tag == "P" else conf.morphological
         cands = set()
         for c in cands_s.split(","):
             c = c.strip()
-            if not c:
-                continue
+            if len(c) != 1:
+                if not c:
+                    continue
+                raise ConfusionError(f"line {ln}: candidate {c!r} is not one character")
             if c == char:
                 dropped_self += 1
                 continue
@@ -153,14 +150,7 @@ def save_ngram_confusion(conf: NgramConfusion, fh: IO[str]) -> None:
 
 def load_ngram_confusion(stream: Iterable[str] | IO[str]) -> NgramConfusion:
     conf = NgramConfusion()
-    for ln, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ConfusionError(f"line {ln}: bad n-gram confusion entry {line!r}")
-        frag, cands = parts
+    for ln, (frag, cands) in table_rows(stream, 2, ConfusionError, "n-gram confusion entry"):
         for c in cands.split(","):
             if c and c != frag:
                 if len(c) != len(frag):

@@ -105,7 +105,7 @@ def load_dictionary(stream: Iterable[str] | IO[str]) -> UserDictionary:
     """
     terms = set()
     rejected = 0
-    for line in stream:
+    for line in stream:  # one whole term per line, not a tab-separated row
         term = line.strip()
         if not term or term.startswith("#"):
             continue
@@ -186,15 +186,14 @@ def error_phrases(pairs: Iterable[tuple[str, str]]) -> set[str]:
         runs = _diff_runs(source, target)
         if not runs:
             continue
-        # word boundaries of the segmented target
-        bounds = []
-        i = 0
+        # start and end of the word holding each position of the segmented target
+        start, end = [], []
         for word in greedy_segment(target, wordlist):
-            bounds.append((i, i + len(word)))
-            i += len(word)
+            i = len(start)
+            start += [i] * len(word)
+            end += [i + len(word)] * len(word)
         for rs, re_ in runs:
-            lo = min(b[0] for b in bounds if b[1] > rs)
-            hi = max(b[1] for b in bounds if b[0] < re_)
+            lo, hi = start[rs], end[re_ - 1]
             if hi - lo < 2:
                 lo = max(0, lo - 1)
                 if hi - lo < 2:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import EvalError
+from .errors import EvalError, table_rows
 
 STYLES = ("faspell", "official")
 LEVELS = ("detection", "correction")
@@ -140,15 +140,9 @@ def dataset_stats(pairs: Iterable[tuple[str, str]]) -> DatasetStats:
 def read_eval_records(stream: Iterable[str] | IO[str]) -> list[EvalRecord]:
     """TSV ``id<TAB>input<TAB>gold<TAB>pred`` lines."""
     records = []
-    for ln, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise EvalError(f"line {ln}: expected 4 tab-separated fields")
+    for ln, (_, inp, gold, pred) in table_rows(stream, 4, EvalError, "record"):
         try:
-            records.append(EvalRecord(input=parts[1], gold=parts[2], pred=parts[3]))
+            records.append(EvalRecord(input=inp, gold=gold, pred=pred))
         except EvalError as e:
             raise EvalError(f"line {ln}: {e}") from e
     return records
@@ -157,12 +151,8 @@ def read_eval_records(stream: Iterable[str] | IO[str]) -> list[EvalRecord]:
 def read_dataset(stream: Iterable[str] | IO[str]) -> list[tuple[str, str]]:
     """TSV ``id<TAB>source<TAB>target`` lines into (source, target) pairs."""
     pairs = []
-    for ln, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise EvalError(f"line {ln}: expected 3 tab-separated fields")
-        pairs.append((parts[1], parts[2]))
+    for ln, (_, source, target) in table_rows(stream, 3, EvalError, "dataset row"):
+        if len(source) != len(target):
+            raise EvalError(f"line {ln}: source and target lengths differ: {source!r} / {target!r}")
+        pairs.append((source, target))
     return pairs

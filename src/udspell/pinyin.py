@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable
 
-from .errors import PinyinError
+from .errors import PinyinError, table_rows
 
 # The 23 Mandarin initials.
 INITIALS: tuple[str, ...] = (
@@ -118,22 +118,20 @@ class PinyinTable:
 
 
 def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:
-    """Load a TSV of ``char<TAB>syll1,syll2,...`` lines; ``#`` starts a comment."""
+    """Load ``char<TAB>syll1,syll2,...`` lines, stripped whole; ``#`` starts a comment."""
     entries: dict[str, tuple[PinyinSyllable, ...]] = {}
     decoded: dict[str, PinyinSyllable] = {}  # each distinct syllable string decomposed once
-    for ln, line in enumerate(stream, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or len(parts[0]) != 1:
-            raise PinyinError(f"line {ln}: bad pinyin table entry {line!r}")
-        char, sylls = parts
-        entries[char] = tuple(
-            decoded[s] if s in decoded else decoded.setdefault(s, decompose(s))
-            for s in sylls.split(",")
-            if s
-        )
+    for ln, (char, sylls) in table_rows(map(str.strip, stream), 2, PinyinError, "pinyin entry"):
+        if len(char) != 1:
+            raise PinyinError(f"line {ln}: {char!r} is not one character")
+        try:
+            entries[char] = tuple(
+                decoded[s] if s in decoded else decoded.setdefault(s, decompose(s))
+                for s in sylls.split(",")
+                if s
+            )
+        except PinyinError as e:
+            raise PinyinError(f"line {ln}: {e}") from e
         if not entries[char]:
             raise PinyinError(f"line {ln}: no readings for {char!r}")
     return PinyinTable(entries)

@@ -83,7 +83,7 @@ def load_model(stream: Iterable[str] | IO[str]) -> NgramModel:
     except (StopIteration, IndexError, ValueError) as e:
         raise ScorerError(f"malformed model header: {e}") from e
     counts: dict[str, Counter] = {}
-    for ln, line in enumerate(lines, 3):
+    for ln, line in enumerate(lines, 3):  # after a header; a context may begin with "#"
         line = line.rstrip("\n")
         if not line:
             continue

@@ -112,8 +112,15 @@ class TestExitCodes:
             ("eval", "--records", "only-one-field"),
             ("stats", "--dataset", "only-one-field"),
             ("ideal-dict", "--dataset", "only-one-field"),
+            ("gen-corpus", "--pinyin", "乙\tyi3,qq9"),
+            ("gen-corpus", "--char-confusion", "甲\tP\t乙x,丙"),
+            ("stats", "--dataset", "0\tab\tabc"),
+            ("ideal-dict", "--dataset", "0\tab\tabc"),
         ],
-        ids=["char-confusion", "pinyin", "ngram-confusion", "records", "stats", "ideal-dict"],
+        ids=[
+            "char-confusion", "pinyin", "ngram-confusion", "records", "stats", "ideal-dict",
+            "pinyin-syllable", "char-candidate", "stats-lengths", "ideal-dict-lengths",
+        ],
     )
     def test_loader_errors_give_file_line_numbers(
         self, workdir, capsys, command, flag, bad_line

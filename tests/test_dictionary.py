@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -197,3 +199,43 @@ class TestIdealDictionary:
     def test_bad_proportion_raises(self):
         with pytest.raises(DictionaryError):
             build_ideal_dictionary(self.PAIRS, 1.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.text("甲乙丙", min_size=1, max_size=20), st.sets(st.integers(0, 19))),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_phrases_match_word_scan(self, drawn):
+        pairs = [("".join("丁" if i in flips else c for i, c in enumerate(t)), t) for t, flips in drawn]
+        assert error_phrases(pairs) == scan_error_phrases(pairs)
+
+
+def scan_error_phrases(pairs):
+    """``error_phrases`` finding each run's enclosing words by scanning every word."""
+    counts = Counter(
+        t[i : i + n] for _, t in pairs for n in range(2, 5) for i in range(len(t) - n + 1)
+    )
+    wordlist = {g for g, c in counts.items() if c >= 2}
+    phrases = set()
+    for source, target in pairs:
+        bounds, i = [], 0
+        for word in greedy_segment(target, wordlist):
+            bounds.append((i, i + len(word)))
+            i += len(word)
+        rs = 0
+        for differs, group in groupby(a != b for a, b in zip(source, target)):
+            re_ = rs + len(list(group))
+            if differs:
+                lo = min(s for s, e in bounds if e > rs)
+                hi = max(e for s, e in bounds if s < re_)
+                if hi - lo < 2:
+                    lo = max(0, lo - 1)
+                    if hi - lo < 2:
+                        hi = min(len(target), hi + 1)
+                if hi - lo >= 2:
+                    phrases.add(target[lo:hi])
+            rs = re_
+    return phrases

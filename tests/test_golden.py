@@ -2,16 +2,18 @@
 
 The inputs and the expected outputs live in ``tests/golden/``. The pinned
 outputs are the ``score`` lattice JSONL, the ``decode`` JSONL and its stderr
-summary, two ``gen-corpus`` ECM corpora and one ``build-confusion``
-fragment set. The first corpus comes from the short sentences with no
-pinyin table or fragment file, the second from the inputs in
-``tests/golden/ecm/`` (sentences of 14+ characters, a pinyin table with
+summary, two ``gen-corpus`` ECM corpora, one ``build-confusion`` fragment
+set and one ``ideal-dict`` dictionary. The first corpus comes from the short
+sentences with no pinyin table or fragment file, the second from the inputs
+in ``tests/golden/ecm/`` (sentences of 14+ characters, a pinyin table with
 polyphones, a fragment file) and runs every kind of edit. The fragment set
 is built from the same ``tests/golden/ecm/`` corpus and pinyin table, with
-a cutoff low enough that fragments pair. A change that alters any of them
-changes what users get from the same inputs, so it has to be deliberate:
-regenerate with ``PYTHONPATH=src python3 tests/test_golden.py`` and review
-the diff.
+a cutoff low enough that fragments pair. The dictionary samples half of the
+error phrases of ``tests/golden/dataset.tsv``, the source/target pairs of
+the second corpus, so the seeded sample decides which terms it holds. A
+change that alters any of them changes what users get from the same inputs,
+so it has to be deliberate: regenerate with
+``PYTHONPATH=src python3 tests/test_golden.py`` and review the diff.
 """
 import io
 import sys
@@ -33,6 +35,7 @@ NAMES = (
     "ecm.tsv",
     "ecm_fragments.tsv",
     "build_confusion.tsv",
+    "ideal_dict.txt",
 )
 
 
@@ -45,8 +48,8 @@ def _run(*argv: str) -> tuple[str, str]:
 
 
 def produce(workdir: Path) -> dict[str, str]:
-    """Run train-scorer, score, decode, gen-corpus and build-confusion on the
-    golden inputs."""
+    """Run train-scorer, score, decode, gen-corpus, build-confusion and
+    ideal-dict on the golden inputs."""
     model = workdir / "model.tsv"
     _run("train-scorer", "--corpus", str(GOLDEN / "corpus.txt"), "--out", str(model))
     lattices, _ = _run(
@@ -82,8 +85,14 @@ def produce(workdir: Path) -> dict[str, str]:
         "--pinyin", str(ECM / "pinyin.tsv"),
         "--min-count", "1",
     )
+    ideal, _ = _run(
+        "ideal-dict",
+        "--dataset", str(GOLDEN / "dataset.tsv"),
+        "--proportion", "0.5",
+        "--seed", "1",
+    )
     return dict(
-        zip(NAMES, (lattices, decoded, summary, corpus, fragment_corpus, fragments))
+        zip(NAMES, (lattices, decoded, summary, corpus, fragment_corpus, fragments, ideal))
     )
 
 

@@ -156,6 +156,10 @@ class TestPinyinTable:
         assert len(table.readings("了")) == 2
         assert "插" in table and "擦" not in table
 
+    def test_surrounding_whitespace_and_indented_comments(self):
+        table = load_pinyin_table(["  插\tcha1 ", "\t# indented comment", "了\tle5,liao3\n"])
+        assert len(table) == 2 and len(table.readings("了")) == 2
+
     def test_missing_char_raises(self):
         table = load_pinyin_table(["插\tcha1"])
         with pytest.raises(PinyinError):
