@@ -13,14 +13,13 @@ from .confusion import (
     build_ngram_confusion,
     load_char_confusion,
 )
-from .decoder import CorpusDiagnostics, DecodeConfig, decode, decode_corpus
+from .decoder import CorpusDiagnostics, CorrectionPath, DecodeConfig, decode, decode_corpus
 from .dictionary import UserDictionary, build_ideal_dictionary, load_dictionary
 from .ecm import CorruptionRecord, EcmConfig, corrupt_sentence, generate_corpus
 from .errors import UdspellError
 from .evaluate import EvalRecord, dataset_stats, sentence_metrics
 from .lattice import (
     Candidate,
-    CorrectionPath,
     Lattice,
     PruneConfig,
     candidate_path_count,

@@ -15,8 +15,22 @@ from typing import Iterable, Iterator
 
 from .dictionary import UserDictionary, rsm_fixed_positions
 from .errors import DecodeError
-from .lattice import CorrectionPath, Lattice, PruneConfig, candidate_path_count, prune
+from .lattice import Lattice, PruneConfig, candidate_path_count, prune
 from .ecm import Edit
+
+
+@dataclass(frozen=True)
+class CorrectionPath:
+    """One token per position plus its raw and dictionary scores."""
+
+    tokens: str
+    raw_score: float
+    dict_score: int = 0
+    eta: float = 0.0
+
+    @property
+    def total(self) -> float:
+        return self.raw_score + self.eta * self.dict_score
 
 
 @dataclass(frozen=True)
@@ -26,8 +40,8 @@ class DecodeConfig:
     asm_count_mode: str = "covered"
 
     def __post_init__(self) -> None:
-        if self.eta < 0:
-            raise DecodeError(f"eta must be >= 0, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise DecodeError(f"eta must be finite and >= 0, got {self.eta}")
         if self.asm_count_mode not in ("covered", "altered"):
             raise DecodeError(f"unknown asm count mode {self.asm_count_mode!r}")
 
@@ -65,10 +79,7 @@ def decode(
     """
     cfg = cfg or DecodeConfig()
     positions = _effective_positions(lat if _pruned else prune(lat, cfg.prune), dic, cfg)
-    ac = dic.automaton
-    step = ac.step
-    ends = ac.ends
-    depth = ac.depth
+    step, ends, depth = dic.step, dic.ends, dic.depth
     altered_mode = cfg.asm_count_mode == "altered"
     eta = cfg.eta
     input_s = lat.input

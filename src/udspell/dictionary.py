@@ -18,8 +18,8 @@ logger = logging.getLogger(__name__)
 MAX_WORD_LEN = 4  # longest gram of the word list that stands in for a lexicon
 
 
-class AhoCorasick:
-    """Multi-pattern matcher over a fixed term set.
+class UserDictionary:
+    """Immutable term set (each term >= 2 chars) and its Aho-Corasick matcher.
 
     States are integers; 0 is the root. ``step`` advances by one character
     (following failure links), ``ends[state]`` holds the lengths of every
@@ -29,32 +29,29 @@ class AhoCorasick:
     """
 
     def __init__(self, terms: Iterable[str]):
+        self.terms = frozenset(terms)
+        for t in self.terms:
+            if len(t) < 2:
+                raise DictionaryError(f"dictionary term too short: {t!r}")
         self._goto: list[dict[str, int]] = [{}]
         self._fail: list[int] = [0]
         self.ends: list[tuple[int, ...]] = [()]
         self.depth: list[int] = [0]
-        for term in sorted(set(terms)):
-            self._insert(term)
-        self._build_links()
-
-    def _insert(self, term: str) -> None:
-        state = 0
-        for ch in term:
-            nxt = self._goto[state].get(ch)
-            if nxt is None:
-                nxt = len(self._goto)
-                self._goto[state][ch] = nxt
-                self._goto.append({})
-                self._fail.append(0)
-                self.ends.append(())
-                self.depth.append(self.depth[state] + 1)
-            state = nxt
-        self.ends[state] = self.ends[state] + (len(term),)
-
-    def _build_links(self) -> None:
-        queue: deque[int] = deque()
-        for child in self._goto[0].values():
-            queue.append(child)
+        for term in sorted(self.terms):
+            state = 0
+            for ch in term:
+                nxt = self._goto[state].get(ch)
+                if nxt is None:
+                    nxt = len(self._goto)
+                    self._goto[state][ch] = nxt
+                    self._goto.append({})
+                    self._fail.append(0)
+                    self.ends.append(())
+                    self.depth.append(self.depth[state] + 1)
+                state = nxt
+            self.ends[state] += (len(term),)
+        # failure links in BFS order: a link always points to a shallower state
+        queue = deque(self._goto[0].values())
         while queue:
             state = queue.popleft()
             for ch, child in self._goto[state].items():
@@ -62,8 +59,11 @@ class AhoCorasick:
                 f = self._fail[state]
                 while f and ch not in self._goto[f]:
                     f = self._fail[f]
-                self._fail[child] = self._goto[f].get(ch, 0) if self._goto[f].get(ch, 0) != child else 0
-                self.ends[child] = self.ends[child] + self.ends[self._fail[child]]
+                self._fail[child] = self._goto[f].get(ch, 0)
+                self.ends[child] += self.ends[self._fail[child]]
+
+    def __len__(self) -> int:
+        return len(self.terms)
 
     def step(self, state: int, ch: str) -> int:
         """Advance one character, following failure links."""
@@ -78,23 +78,6 @@ class AhoCorasick:
             state = self.step(state, ch)
             for ln in self.ends[state]:
                 yield (j - ln + 1, j + 1)
-
-
-class UserDictionary:
-    """Immutable term set (each term >= 2 chars) with its matcher."""
-
-    def __init__(self, terms: Iterable[str]):
-        self.terms = frozenset(terms)
-        for t in self.terms:
-            if len(t) < 2:
-                raise DictionaryError(f"dictionary term too short: {t!r}")
-        self.automaton = AhoCorasick(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.terms
 
 
 def load_dictionary(stream: Iterable[str] | IO[str]) -> UserDictionary:
@@ -124,7 +107,7 @@ def rsm_fixed_positions(input: str, dic: UserDictionary) -> set[int]:
     """Every position covered by an occurrence (overlaps included) of a
     dictionary term in the raw input."""
     fixed: set[int] = set()
-    for s, e in dic.automaton.iter_matches(input):
+    for s, e in dic.iter_matches(input):
         fixed.update(range(s, e))
     return fixed
 

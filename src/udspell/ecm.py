@@ -34,7 +34,7 @@ class EcmConfig:
 
     def __post_init__(self) -> None:
         probs = (self.p_pronunciation, self.p_shape, self.p_random, self.p_unchanged)
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        if not all(math.isfinite(p) and p >= 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
             raise EcmError(f"error-type probabilities must be >= 0 and sum to 1, got {probs}")
         if not (0 < self.max_ratio <= 1):
             raise EcmError(f"max_ratio must be in (0, 1], got {self.max_ratio}")

@@ -29,7 +29,7 @@ class DictionaryError(UdspellError):
 
 
 class DecodeError(UdspellError):
-    """Decoder contract violation or refused search."""
+    """Decoder contract violation."""
 
 
 class EvalError(UdspellError):

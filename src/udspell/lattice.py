@@ -1,4 +1,4 @@
-"""Top-k candidate lattices: parsing, pruning, greedy decoding, path counting.
+"""Top-k candidate lattices: parsing, serialization, pruning, path counting.
 
 A lattice holds, for every position of an input sentence, a short list of
 candidate characters with natural-log probabilities, as emitted by any
@@ -64,20 +64,6 @@ class PruneConfig:
             )
         if self.k < 1:
             raise LatticeError(f"k must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
-class CorrectionPath:
-    """One token per position plus its raw and dictionary scores."""
-
-    tokens: str
-    raw_score: float
-    dict_score: int = 0
-    eta: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.raw_score + self.eta * self.dict_score
 
 
 def make_lattice(id: str, input: str, positions: Iterable[Iterable[tuple[str, float]]]) -> Lattice:

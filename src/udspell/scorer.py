@@ -39,12 +39,16 @@ class NgramModel:
         return [math.log((counter.get(c, 0) + self.alpha) / denom) for c in chars]
 
 
-def train(corpus: Iterable[str], order: int = 2, alpha: float = 0.1) -> NgramModel:
-    """Count-based training; deterministic for a fixed corpus."""
+def _check_params(order: int, alpha: float) -> None:
     if order < 1:
         raise ScorerError(f"order must be >= 1, got {order}")
-    if alpha <= 0:
-        raise ScorerError(f"alpha must be > 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ScorerError(f"alpha must be finite and > 0, got {alpha}")
+
+
+def train(corpus: Iterable[str], order: int = 2, alpha: float = 0.1) -> NgramModel:
+    """Count-based training; deterministic for a fixed corpus."""
+    _check_params(order, alpha)
     counts: dict[str, Counter] = {}
     vocab: set[str] = set()
     n_sentences = 0
@@ -76,23 +80,30 @@ def load_model(stream: Iterable[str] | IO[str]) -> NgramModel:
         if header[0] != "#udspell-ngram" or header[1] != "1":
             raise ScorerError("not a recognized scorer model file")
         order, alpha = int(header[2]), float(header[3])
-        vocab_line = next(lines).rstrip("\n").split("\t")
-        if vocab_line[0] != "#vocab":
-            raise ScorerError("missing vocab line in model file")
-        vocab = tuple(vocab_line[1]) if len(vocab_line) > 1 else ()
+        vocab_line = next(lines).rstrip("\n")
     except (StopIteration, IndexError, ValueError) as e:
         raise ScorerError(f"malformed model header: {e}") from e
+    _check_params(order, alpha)
+    if not vocab_line.startswith("#vocab\t"):
+        raise ScorerError("missing vocab line in model file")
+    vocab = tuple(vocab_line[7:])  # the vocabulary may hold a tab
     counts: dict[str, Counter] = {}
+    ctx = None
     for ln, line in enumerate(lines, 3):  # after a header; a context may begin with "#"
         line = line.rstrip("\n")
         if not line:
             continue
+        # read by position: the context and the character may themselves be tabs
         try:
-            ctx, char, count = line.split("\t")
-            count = int(count)
-        except ValueError:
+            if line[order] != "\t" or line[order + 2] != "\t":
+                raise ValueError
+            count = int(line[order + 3 :])
+        except (IndexError, ValueError):
             raise ScorerError(f"line {ln}: malformed count entry {line!r}") from None
-        counts.setdefault(ctx, Counter())[char] = count
+        if line[:order] != ctx:  # save_model writes each context's lines together
+            ctx = line[:order]
+            counter = counts.setdefault(ctx, Counter())
+        counter[line[order + 1]] = count
     return NgramModel(order=order, alpha=alpha, counts=counts, vocab=vocab)
 
 

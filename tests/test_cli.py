@@ -104,6 +104,26 @@ class TestExitCodes:
         assert code == 2 and "error" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decode", "--lattice", "ab.jsonl", "--dict", "cd.txt", "--eta", "nan"],
+            ["decode", "--lattice", "ab.jsonl", "--dict", "cd.txt", "--eta", "inf"],
+            ["gen-corpus", "--corpus", "corpus.txt", "--char-confusion", "chars.tsv",
+             "--p-pronunciation", "nan"],
+            ["train-scorer", "--corpus", "corpus.txt", "--alpha", "nan", "--out", "model.tsv"],
+        ],
+        ids=["decode-eta-nan", "decode-eta-inf", "gen-corpus-p-nan", "train-scorer-alpha-nan"],
+    )
+    def test_non_finite_settings_are_runtime_errors(self, workdir, capsys, argv):
+        lat = make_lattice("0", "ab", [[("a", -0.1), ("c", -2.0)], [("b", -0.1), ("d", -2.0)]])
+        (workdir / "ab.jsonl").write_text(serialize_lattice(lat) + "\n", encoding="utf-8")
+        (workdir / "cd.txt").write_text("cd\n", encoding="utf-8")
+        argv = [str(workdir / a) if a.endswith((".txt", ".tsv", ".jsonl")) else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), err
+        assert not (workdir / "model.tsv").exists()
+
+    @pytest.mark.parametrize(
         "command, flag, bad_line",
         [
             ("gen-corpus", "--char-confusion", "报\tQ\t抱"),

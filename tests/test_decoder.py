@@ -147,8 +147,9 @@ class TestDecodeConfig:
         assert (cfg.prune.min_logp, cfg.prune.max_logp, cfg.prune.k) == (-11.0, -0.001, 5)
 
     def test_invalid_rejected(self):
-        with pytest.raises(DecodeError):
-            DecodeConfig(eta=-1)
+        for eta in (-1, math.nan, math.inf):
+            with pytest.raises(DecodeError):
+                DecodeConfig(eta=eta)
         with pytest.raises(DecodeError):
             DecodeConfig(asm_count_mode="bogus")
 

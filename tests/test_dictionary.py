@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udspell.dictionary import (
-    AhoCorasick,
     UserDictionary,
     build_ideal_dictionary,
     error_phrases,
@@ -52,7 +51,7 @@ class TestSegmentation:
 class TestLoadDictionary:
     def test_load_terms(self):
         dic = load_dictionary(["人民检察院", "审查案件"])
-        assert len(dic) == 2 and "审查案件" in dic
+        assert len(dic) == 2 and "审查案件" in dic.terms
 
     def test_empty_file(self):
         dic = load_dictionary([])
@@ -104,11 +103,18 @@ class TestAutomaton:
     @given(text_strategy, terms_strategy)
     @settings(max_examples=200, deadline=None)
     def test_incremental_equals_whole_string(self, text, terms):
-        ac = AhoCorasick(terms)
+        ac = UserDictionary(terms)
         incremental = []
         state = 0
         for j, ch in enumerate(text):
             state = ac.step(state, ch)
+            # the longest suffix of the text read so far that begins some term
+            read = text[: j + 1]
+            assert ac.depth[state] == max(
+                k
+                for k in range(j + 2)
+                if not k or any(t.startswith(read[j + 1 - k :]) for t in terms)
+            )
             for ln in ac.ends[state]:
                 incremental.append((j - ln + 1, j + 1))
         assert sorted(incremental) == sorted(ac.iter_matches(text))

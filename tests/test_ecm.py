@@ -40,6 +40,10 @@ class TestEcmConfig:
         with pytest.raises(EcmError):
             EcmConfig(p_pronunciation=-0.1, p_shape=0.7, p_random=0.2, p_unchanged=0.2)
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(EcmError):
+            EcmConfig(p_pronunciation=math.nan)
+
     def test_max_ratio_range(self):
         with pytest.raises(EcmError):
             EcmConfig(max_ratio=0.0)

@@ -39,8 +39,9 @@ class TestTrain:
     def test_bad_params(self):
         with pytest.raises(ScorerError):
             train(["甲乙"], order=0)
-        with pytest.raises(ScorerError):
-            train(["甲乙"], alpha=0.0)
+        for alpha in (0.0, math.nan, math.inf):
+            with pytest.raises(ScorerError):
+                train(["甲乙"], alpha=alpha)
         with pytest.raises(ScorerError):
             train([])
 
@@ -61,6 +62,13 @@ class TestSerialization:
         assert back.vocab == model.vocab
         assert back.counts == model.counts
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_roundtrip_corpus_with_tabs(self, order):
+        model = train(["甲\t乙丙", "\t\t", "#\t甲"], order=order)
+        buf = io.StringIO()
+        save_model(model, buf)
+        assert load_model(io.StringIO(buf.getvalue())) == model
+
     def test_byte_stable(self):
         a, b = io.StringIO(), io.StringIO()
         save_model(train(["甲乙丙"] * 3, order=2), a)
@@ -70,6 +78,9 @@ class TestSerialization:
     def test_bad_header(self):
         with pytest.raises(ScorerError):
             load_model(["nonsense\n"])
+        for alpha in ("nan", "inf"):
+            with pytest.raises(ScorerError):
+                load_model([f"#udspell-ngram\t1\t2\t{alpha}\n", "#vocab\t甲乙\n"])
 
     def test_bad_count_names_line(self):
         lines = ["#udspell-ngram\t1\t2\t0.1\n", "#vocab\ta\n", "\x02\x02\ta\tx\n"]
