@@ -31,7 +31,7 @@ def main():
 
     print("building fragment confusion sets from the corpus ...")
     ngrams = build_ngram_confusion(CORPUS, pinyin, min_count=2)
-    print(f"  {ngrams.size} fragments paired, e.g.:")
+    print(f"  {len(ngrams.entries)} fragments paired, e.g.:")
     for frag in sorted(ngrams.entries)[:4]:
         print(f"    {frag} <-> {', '.join(sorted(ngrams.entries[frag]))}")
     print()

@@ -15,7 +15,7 @@ from .confusion import (
 )
 from .decoder import CorpusDiagnostics, CorrectionPath, DecodeConfig, decode, decode_corpus
 from .dictionary import UserDictionary, build_ideal_dictionary, load_dictionary
-from .ecm import CorruptionRecord, EcmConfig, corrupt_sentence, generate_corpus
+from .ecm import CorruptionRecord, EcmConfig, generate_corpus
 from .errors import UdspellError
 from .evaluate import EvalRecord, dataset_stats, sentence_metrics
 from .lattice import (
@@ -54,7 +54,6 @@ __all__ = [
     "build_ideal_dictionary",
     "build_ngram_confusion",
     "candidate_path_count",
-    "corrupt_sentence",
     "dataset_stats",
     "decode",
     "decode_corpus",

@@ -41,12 +41,12 @@ def _proportion(value: str) -> float:
 
 def _read_lines(path: Path) -> list[str]:
     """A corpus's non-blank lines; their index sets each sentence's seed."""
-    return [ln for ln in path.read_text("utf-8").splitlines() if ln.strip()]
+    return [ln for ln in _read_table(path) if ln.strip()]
 
 
 def _read_table(path: Path) -> list[str]:
-    """Every line of a table file, so that loader errors give file line numbers."""
-    return path.read_text("utf-8").splitlines()
+    """Every line of a file, so that loader errors and ids give file line numbers."""
+    return path.read_text("utf-8").split("\n")  # splitlines also splits at U+2028, \f, ...
 
 
 def _out_handle(stack: ExitStack, path: str | None) -> IO[str]:
@@ -195,7 +195,7 @@ def _cmd_score(args, out: IO[str]) -> None:
         _read_table(args.char_confusion), pinyin_table=pinyin
     )
     channel = scorer_mod.ChannelModel(confusion=char_conf, p_keep=args.p_keep)
-    sentences = args.input.read_text("utf-8").splitlines()  # ids are line numbers
+    sentences = _read_table(args.input)  # ids are line numbers
     write_lattices(scorer_mod.score_corpus(sentences, model, channel, k=args.topk), out)
 
 

@@ -50,15 +50,6 @@ class CharConfusion:
     phonetic: dict[str, set[str]] = field(default_factory=dict)
     morphological: dict[str, set[str]] = field(default_factory=dict)
 
-    def phonetic_candidates(self, char: str) -> set[str]:
-        return self.phonetic.get(char, set())
-
-    def morphological_candidates(self, char: str) -> set[str]:
-        return self.morphological.get(char, set())
-
-    def all_candidates(self, char: str) -> set[str]:
-        return self.phonetic_candidates(char) | self.morphological_candidates(char)
-
     def inventory(self) -> list[str]:
         """Sorted set of every character mentioned anywhere in the maps."""
         chars: set[str] = set()
@@ -70,14 +61,14 @@ class CharConfusion:
 
 
 def load_char_confusion(
-    stream: Iterable[str] | IO[str],
-    pinyin_table: PinyinTable | None = None,
+    stream: Iterable[str] | IO[str], pinyin_table: PinyinTable
 ) -> CharConfusion:
     """Load ``char<TAB>P|M<TAB>cand1,cand2,...`` lines.
 
-    Self-candidates are dropped with a warning. When a pinyin table is
-    given, phonetic candidates that fail the similarity predicate on every
-    reading pair are dropped as well.
+    Self-candidates are dropped with a warning, and so are phonetic
+    candidates that fail the similarity predicate on every reading pair
+    when both characters are in ``pinyin_table``. ``PinyinTable({})``
+    filters nothing.
     """
     conf = CharConfusion()
     dropped_self = 0
@@ -100,7 +91,6 @@ def load_char_confusion(
                 continue
             if (
                 tag == "P"
-                and pinyin_table is not None
                 and char in pinyin_table
                 and c in pinyin_table
                 and not pinyin_table.similar(char, c)
@@ -120,7 +110,7 @@ def load_char_confusion(
     return conf
 
 
-def default_char_confusion(pinyin_table: PinyinTable | None = None) -> CharConfusion:
+def default_char_confusion(pinyin_table: PinyinTable) -> CharConfusion:
     """The small confusion set bundled with the package."""
     text = resources.files("udspell.data").joinpath("char_confusion.tsv").read_text("utf-8")
     return load_char_confusion(text.splitlines(), pinyin_table=pinyin_table)
@@ -131,10 +121,6 @@ class NgramConfusion:
     """Fragment (2-4 chars) to same-length candidate fragments."""
 
     entries: dict[str, set[str]] = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
     def add_pair(self, a: str, b: str) -> None:
         if a == b or len(a) != len(b):

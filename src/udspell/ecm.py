@@ -12,7 +12,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 from .confusion import NGRAM_LENGTHS, CharConfusion, NgramConfusion, is_chinese_char
@@ -87,22 +87,6 @@ def _edit_sites(sentence: str) -> list[int]:
     return [i for i, c in enumerate(sentence) if is_chinese_char(c)]
 
 
-def corrupt_sentence(
-    sentence: str,
-    char_conf: CharConfusion,
-    ngram_conf: NgramConfusion,
-    cfg: EcmConfig,
-    rng: random.Random,
-) -> CorruptionRecord:
-    """Corrupt one sentence with a single sampled error type.
-
-    The total number of replaced characters never exceeds
-    floor(max_ratio * len); sentences where no edit is possible degrade to
-    an unchanged record flagged as degraded.
-    """
-    return _corrupt(sentence, char_conf, ngram_conf, cfg, rng, char_conf.inventory())
-
-
 def _corrupt(
     sentence: str,
     char_conf: CharConfusion,
@@ -111,8 +95,13 @@ def _corrupt(
     rng: random.Random,
     inventory: Sequence[str],
 ) -> CorruptionRecord:
-    """``corrupt_sentence`` with ``char_conf.inventory()`` computed once by the
-    caller; ``inventory`` must be that sorted, duplicate-free list."""
+    """Corrupt one sentence with a single sampled error type.
+
+    The total number of replaced characters never exceeds
+    floor(max_ratio * len); sentences where no edit is possible degrade to
+    an unchanged record flagged as degraded. ``inventory`` must be
+    ``char_conf.inventory()``, which the caller computes once per corpus.
+    """
     if not sentence:
         raise EcmError("cannot corrupt an empty sentence")
 
@@ -164,9 +153,9 @@ def _corrupt(
                 continue
         else:
             if error_type == "pronunciation":
-                cands = sorted(char_conf.phonetic_candidates(orig))
+                cands = sorted(char_conf.phonetic.get(orig, ()))
             else:
-                cands = sorted(char_conf.morphological_candidates(orig))
+                cands = sorted(char_conf.morphological.get(orig, ()))
             if not cands:
                 continue
             repl = rng.choice(cands)
@@ -204,35 +193,17 @@ def generate_corpus(
         )
 
 
-@dataclass
-class CorpusStats:
-    type_counts: Counter = field(default_factory=Counter)
-    edit_count: int = 0
-    degraded_count: int = 0
-    record_count: int = 0
-
-    def add(self, rec: CorruptionRecord) -> None:
-        self.type_counts[rec.error_type] += 1
-        self.edit_count += len(rec.edits)
-        self.degraded_count += int(rec.degraded)
-        self.record_count += 1
-
-
-def format_edit_spec(edits: Sequence[Edit]) -> str:
-    return ";".join(f"{e.pos}:{e.orig}>{e.repl}" for e in edits)
-
-
-def write_records(records: Iterable[CorruptionRecord], fh: IO[str]) -> CorpusStats:
+def write_records(records: Iterable[CorruptionRecord], fh: IO[str]) -> None:
     """TSV output ``source<TAB>target<TAB>error_type<TAB>edit_spec`` plus a
-    trailing commented summary block; returns the summary counters."""
-    stats = CorpusStats()
+    trailing commented summary block."""
+    type_counts: Counter[str] = Counter()
+    edit_count = degraded_count = 0
     for rec in records:
-        fh.write(
-            f"{rec.source}\t{rec.target}\t{rec.error_type}\t{format_edit_spec(rec.edits)}\n"
-        )
-        stats.add(rec)
-    fh.write(f"# records={stats.record_count} edits={stats.edit_count} ")
-    fh.write(f"degraded={stats.degraded_count}\n")
+        spec = ";".join(f"{e.pos}:{e.orig}>{e.repl}" for e in rec.edits)
+        fh.write(f"{rec.source}\t{rec.target}\t{rec.error_type}\t{spec}\n")
+        type_counts[rec.error_type] += 1
+        edit_count += len(rec.edits)
+        degraded_count += rec.degraded
+    fh.write(f"# records={type_counts.total()} edits={edit_count} degraded={degraded_count}\n")
     for name in ERROR_TYPES:
-        fh.write(f"# type.{name}={stats.type_counts.get(name, 0)}\n")
-    return stats
+        fh.write(f"# type.{name}={type_counts[name]}\n")

@@ -68,9 +68,11 @@ class PruneConfig:
 
 def make_lattice(id: str, input: str, positions: Iterable[Iterable[tuple[str, float]]]) -> Lattice:
     """Check and build a lattice from per-position ``(token, logp)`` pairs, each
-    position in canonical order. LatticeError names the first violation of: one
-    character per token, finite logp <= 0, unique tokens per position, and one
-    position per input character."""
+    position in canonical order. LatticeError names the first violation of: a str
+    input, one character per token, finite logp <= 0, unique tokens per position,
+    and one position per input character."""
+    if not isinstance(input, str):
+        raise LatticeError(f"lattice {id!r}: input must be a string, got {type(input).__name__}")
     canon = []
     for j, pairs in enumerate(positions):
         cands = []

@@ -95,9 +95,9 @@ def load_model(stream: Iterable[str] | IO[str]) -> NgramModel:
             continue
         # read by position: the context and the character may themselves be tabs
         try:
-            if line[order] != "\t" or line[order + 2] != "\t":
-                raise ValueError
             count = int(line[order + 3 :])
+            if line[order] != "\t" or line[order + 2] != "\t" or count < 0:
+                raise ValueError
         except (IndexError, ValueError):
             raise ScorerError(f"line {ln}: malformed count entry {line!r}") from None
         if line[:order] != ctx:  # save_model writes each context's lines together
@@ -124,7 +124,8 @@ class ChannelModel:
         """The observed character, then its confusion candidates in code-point
         order, with log P(observed | intended) for each."""
         if observed not in self._entries:
-            confs = sorted(self.confusion.all_candidates(observed))
+            ph, mo = self.confusion.phonetic, self.confusion.morphological
+            confs = sorted(ph.get(observed, set()) | mo.get(observed, set()))
             tokens = (observed, *(c for c in confs if c != observed))
             swap = (1.0 - self.p_keep) / len(confs) if confs else 0.0
             keep_lp = math.log(self.p_keep if confs else 1.0)

@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "build_ideal_dictionary",
     "build_ngram_confusion",
     "candidate_path_count",
-    "corrupt_sentence",
     "dataset_stats",
     "decode",
     "decode_corpus",

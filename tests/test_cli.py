@@ -29,6 +29,10 @@ def workdir(tmp_path):
     return tmp_path
 
 
+# str.splitlines breaks lines at each of these; input files break only at "\n"
+OTHER_LINE_BREAKS = ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -97,6 +101,23 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: line 3: ")
 
+    def test_negative_model_count_is_runtime_error(self, workdir, capsys):
+        model = workdir / "model.tsv"
+        model.write_text("#udspell-ngram\t1\t1\t0.1\n#vocab\t甲乙\n\x02\t甲\t-5\n", "utf-8")
+        (workdir / "in.txt").write_text("甲乙\n", "utf-8")
+        code, out, err = run(
+            capsys,
+            "score",
+            "--model",
+            str(model),
+            "--char-confusion",
+            str(workdir / "chars.tsv"),
+            "--input",
+            str(workdir / "in.txt"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 3: malformed count entry"), err
+
     def test_malformed_input_is_runtime_error(self, workdir, capsys):
         bad = workdir / "bad.tsv"
         bad.write_text("only-one-field\n", encoding="utf-8")
@@ -158,6 +179,14 @@ class TestExitCodes:
         argv += [flag, str(bad)]
         code, _, err = run(capsys, command, *argv)
         assert code == 2 and "line 4:" in err, err
+
+    @pytest.mark.parametrize("sep", OTHER_LINE_BREAKS)
+    def test_table_lines_split_on_newline_only(self, workdir, capsys, sep):
+        bad = workdir / "bad.tsv"
+        bad.write_text(f"报\tP\t抱\n查\tP\t察{sep}\n报\tQ\t抱\n", encoding="utf-8")
+        corpus, chars = str(workdir / "corpus.txt"), str(bad)
+        code, _, err = run(capsys, "gen-corpus", "--corpus", corpus, "--char-confusion", chars)
+        assert code == 2 and "line 3:" in err, err
 
 
 class TestPipeline:
@@ -226,6 +255,23 @@ class TestPipeline:
         assert code == 0
         assert [json.loads(ln)["id"] for ln in out.splitlines()] == ["0", "2"]
 
+    @pytest.mark.parametrize("sep", OTHER_LINE_BREAKS)
+    def test_score_splits_input_on_newline_only(self, workdir, capsys, sep):
+        self.train(workdir, capsys)
+        (workdir / "in.txt").write_text(f"甲{sep}乙\n丙\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys,
+            "score",
+            "--model",
+            str(workdir / "model.tsv"),
+            "--char-confusion",
+            str(workdir / "chars.tsv"),
+            "--input",
+            str(workdir / "in.txt"),
+        )
+        assert code == 0
+        assert [json.loads(ln)["id"] for ln in out.split("\n") if ln] == ["0", "1"]
+
     def test_decode_eta_zero_ignores_dictionary(self, workdir, capsys):
         self.train(workdir, capsys)
         self.score(workdir, capsys)
@@ -257,6 +303,19 @@ class TestPipeline:
         assert error.startswith("error: record 1: ")
         lines = out_file.read_text(encoding="utf-8").splitlines()
         assert [json.loads(ln)["output"] for ln in lines] == [long_lattice(3).input]
+
+    def test_decode_rejects_non_string_input(self, workdir, capsys):
+        lat = workdir / "list.jsonl"
+        lat.write_text(
+            '{"id":"a","input":["甲","乙"],"positions":[[{"t":"甲","lp":-0.1},'
+            '{"t":"丙","lp":-2.0}],[{"t":"乙","lp":-0.1}]]}\n',
+            encoding="utf-8",
+        )
+        (workdir / "jiayi.txt").write_text("甲乙\n", encoding="utf-8")
+        argv = ["decode", "--lattice", str(lat), "--dict", str(workdir / "jiayi.txt")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: record 0: "), err
 
     def test_decode_unopenable_lattice_prints_only_the_error(self, workdir, capsys, monkeypatch):
         # skip the parser's existence check so that open() itself fails

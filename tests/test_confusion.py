@@ -21,23 +21,23 @@ from udspell.pinyin import PinyinTable, decompose
 
 class TestLoadCharConfusion:
     def test_phonetic_entry(self):
-        conf = load_char_confusion(["报\tP\t抱,暴,爆"])
+        conf = load_char_confusion(["报\tP\t抱,暴,爆"], PinyinTable({}))
         assert conf.phonetic["报"] >= {"爆"}
 
     def test_morphological_entry(self):
-        conf = load_char_confusion(["导\tM\t异"])
+        conf = load_char_confusion(["导\tM\t异"], PinyinTable({}))
         assert conf.morphological["导"] >= {"异"}
 
     def test_empty_stream(self):
-        conf = load_char_confusion([])
+        conf = load_char_confusion([], PinyinTable({}))
         assert conf.phonetic == {} and conf.morphological == {}
 
     def test_unknown_tag_raises(self):
         with pytest.raises(ConfusionError):
-            load_char_confusion(["报\tQ\t抱"])
+            load_char_confusion(["报\tQ\t抱"], PinyinTable({}))
 
     def test_self_candidate_dropped(self, caplog):
-        conf = load_char_confusion(["报\tP\t报,爆"])
+        conf = load_char_confusion(["报\tP\t报,爆"], PinyinTable({}))
         assert "报" not in conf.phonetic["报"]
         assert conf.phonetic["报"] == {"爆"}
 
@@ -75,7 +75,7 @@ class TestBuildNgram:
         # only the bigram pair 一年/意念 is confusable among these grams
         corpus = ["一年好", "一年大", "意念好", "意念大"]
         conf = build_ngram_confusion(corpus, pinyin_table, min_count=2)
-        assert conf.size == 2
+        assert len(conf.entries) == 2
         assert conf.entries == {"一年": {"意念"}, "意念": {"一年"}}
 
     def test_candidates_keep_fragment_length(self, pinyin_table):
@@ -133,7 +133,7 @@ def reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy)
     def chars_confusable(a, b):
         if a == b:
             return True
-        if b in char_conf.phonetic_candidates(a) or a in char_conf.phonetic_candidates(b):
+        if b in char_conf.phonetic.get(a, ()) or a in char_conf.phonetic.get(b, ()):
             return True
         return pinyin.similar(a, b, fuzzy=fuzzy)
 
