@@ -11,7 +11,9 @@ Candidates are canonically ordered by log-probability descending, ties by
 token code point ascending. ``make_lattice``, through which the parser and
 the scorer build every lattice, checks it and puts it in that order in one
 pass, so positions are canonical by construction; ``prune`` derives a
-lattice from a valid one without checking it again.
+lattice from a valid one without checking it again. Positions hold plain
+``(token, logp)`` tuples, whose logp is an exact ``float`` or ``int``;
+``Candidate`` is the equal-comparing name for building them.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ from .errors import LatticeError
 
 
 class Candidate(NamedTuple):
-    """One candidate character with its natural-log probability."""
+    """One candidate character with its natural-log probability. It compares
+    equal to the plain ``(token, logp)`` tuple a lattice stores for it."""
 
     token: str
     logp: float
@@ -38,7 +41,7 @@ class Lattice:
 
     id: str
     input: str
-    positions: tuple[tuple[Candidate, ...], ...]
+    positions: tuple[tuple[tuple[str, float], ...], ...]
 
     def __len__(self) -> int:
         return len(self.input)
@@ -66,25 +69,41 @@ class PruneConfig:
             raise LatticeError(f"k must be >= 1, got {self.k}")
 
 
+def _plain_logp(id: str, lp) -> int | float:
+    """A finite logp that is not an exact float, as the exact int or float of
+    equal value, whose repr is its JSON form; a bool is refused."""
+    if isinstance(lp, bool):
+        raise LatticeError(f"lattice {id!r}: logp must be a number, got {lp!r}")
+    return int(lp) if isinstance(lp, int) else float(lp)
+
+
 def make_lattice(id: str, input: str, positions: Iterable[Iterable[tuple[str, float]]]) -> Lattice:
     """Check and build a lattice from per-position ``(token, logp)`` pairs, each
     position in canonical order. LatticeError names the first violation of: a str
-    input, one character per token, finite logp <= 0, unique tokens per position,
-    and one position per input character."""
+    input, one character per token, finite logp <= 0 and not a bool, unique
+    tokens per position, and one position per input character."""
     if not isinstance(input, str):
         raise LatticeError(f"lattice {id!r}: input must be a string, got {type(input).__name__}")
     canon = []
     for j, pairs in enumerate(positions):
         cands = []
+        in_order = True
+        prev_lp, prev_tok = math.inf, ""
         for tok, lp in pairs:
             if len(tok) != 1:
                 raise LatticeError(f"lattice {id!r}: token must be one character, got {tok!r}")
             if not (math.isfinite(lp) and lp <= 0.0):
                 raise LatticeError(f"lattice {id!r}: logp must be finite and <= 0, got {lp!r}")
-            cands.append(Candidate(tok, lp))
-        if len({c.token for c in cands}) != len(cands):
+            if type(lp) is not float:
+                lp = _plain_logp(id, lp)
+            if lp > prev_lp or lp == prev_lp and tok <= prev_tok:
+                in_order = False
+            prev_lp, prev_tok = lp, tok
+            cands.append((tok, lp))
+        if len(dict(cands)) != len(cands):  # keyed by token
             raise LatticeError(f"lattice {id!r}: duplicate token at position {j}")
-        cands.sort(key=lambda c: (-c.logp, c.token))
+        if not in_order:
+            cands.sort(key=lambda c: (-c[1], c[0]))
         canon.append(tuple(cands))
     if len(canon) != len(input):
         raise LatticeError(f"lattice {id!r}: {len(canon)} positions for {len(input)}-char input")
@@ -112,18 +131,39 @@ def parse_lattice(stream: Iterable[str] | IO[str]) -> Iterator[Lattice]:
 
 
 def serialize_lattice(lat: Lattice) -> str:
-    """Canonical single-line JSON form of one lattice record."""
-    obj = {
-        "id": lat.id,
-        "input": lat.input,
-        "positions": [[{"t": t, "lp": lp} for t, lp in pos] for pos in lat.positions],
-    }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    """Canonical single-line JSON form of one lattice record: the bytes of
+    ``json.dumps`` of its dict form with ``ensure_ascii=False`` and
+    ``separators=(",", ":")``."""
+    return _record(lat, _TokenPrefixes())
 
 
 def write_lattices(lats: Iterable[Lattice], fh: IO[str]) -> None:
+    """Write each lattice's serialize_lattice form as one line."""
+    prefixes = _TokenPrefixes()
     for lat in lats:
-        fh.write(serialize_lattice(lat) + "\n")
+        fh.write(_record(lat, prefixes) + "\n")
+
+
+_to_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+class _TokenPrefixes(dict):
+    """Token -> the JSON text ``{"t":<token>,"lp":`` that opens its candidate,
+    made on first use. A logp is an exact float or int, whose repr is its JSON
+    form, so only the token needs the encoder."""
+
+    def __missing__(self, tok: str) -> str:
+        prefix = self[tok] = '{"t":' + _to_json(tok) + ',"lp":'
+        return prefix
+
+
+def _record(lat: Lattice, prefixes: _TokenPrefixes) -> str:
+    """serialize_lattice's text, taking token prefixes from ``prefixes``."""
+    positions = ",".join(
+        ["[" + ",".join([prefixes[t] + repr(lp) + "}" for t, lp in pos]) + "]"
+         for pos in lat.positions]
+    )
+    return f'{{"id":{_to_json(lat.id)},"input":{_to_json(lat.input)},"positions":[{positions}]}}'
 
 
 def prune(lat: Lattice, cfg: PruneConfig) -> Lattice:
@@ -134,10 +174,10 @@ def prune(lat: Lattice, cfg: PruneConfig) -> Lattice:
     """
     out = []
     for cands in lat.positions:
-        if cands and cands[0].logp > cfg.max_logp:
+        if cands and cands[0][1] > cfg.max_logp:
             out.append((cands[0],))
             continue
-        kept = tuple(c for c in cands if c.logp >= cfg.min_logp)[: cfg.k]
+        kept = tuple(c for c in cands if c[1] >= cfg.min_logp)[: cfg.k]
         if not kept and cands:
             kept = (cands[0],)
         out.append(kept)

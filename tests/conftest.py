@@ -15,7 +15,7 @@ NO_PRUNE = PruneConfig(min_logp=-math.inf, max_logp=-0.0, k=10**6)
 
 def argmax_tokens(lat) -> str:
     """The per-position argmax path: each position's first candidate."""
-    return "".join(cands[0].token for cands in lat.positions)
+    return "".join(cands[0][0] for cands in lat.positions)
 
 
 def random_lattice(rng: random.Random, max_n=6, max_k=3, vocab=None, lattice_id="L"):

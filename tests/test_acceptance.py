@@ -88,11 +88,11 @@ def test_criterion_3_pruning_semantics(capsys):
         lat = random_lattice(rng, max_n=8, max_k=4, lattice_id=str(i))
         pruned = prune(lat, cfg)
         for orig, kept in zip(lat.positions, pruned.positions):
-            confident = [c for c in orig if c.logp > cfg.max_logp]
+            confident = [c for c in orig if c[1] > cfg.max_logp]
             if confident:
                 ok = ok and list(kept) == [orig[0]]
             for c in kept:
-                if c.logp < cfg.min_logp:
+                if c[1] < cfg.min_logp:
                     ok = ok and len(kept) == 1
         again = prune(pruned, cfg)
         ok = ok and again.positions == pruned.positions

@@ -131,7 +131,7 @@ def reference_case(draw):
             terms.add(lat.input[start : start + ln])
         else:
             spans = lat.positions[start : start + ln]
-            terms.add("".join(rng.choice(cands).token for cands in spans))
+            terms.add("".join(rng.choice(cands)[0] for cands in spans))
     cfg = DecodeConfig(
         eta=draw(st.sampled_from((0.0, 0.5, 4.0, 10.0))),
         prune=draw(st.sampled_from((PruneConfig(), NO_PRUNE))),

@@ -3,6 +3,9 @@ import itertools
 import json
 import math
 import random
+from decimal import Decimal
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,9 @@ from hypothesis import strategies as st
 from udspell.decoder import DecodeConfig, decode
 from udspell.dictionary import UserDictionary
 from udspell.errors import DecodeError, LatticeError
+from udspell.confusion import CharConfusion
 from udspell.lattice import (
+    Candidate,
     Lattice,
     PruneConfig,
     candidate_path_count,
@@ -19,7 +24,9 @@ from udspell.lattice import (
     parse_lattice,
     prune,
     serialize_lattice,
+    write_lattices,
 )
+from udspell.scorer import ChannelModel, score_sentence, train
 
 from conftest import NO_PRUNE, argmax_tokens, random_lattice
 
@@ -57,10 +64,15 @@ class TestCandidate:
         assert_rejected("a", [[("a", -math.inf)]])
         assert_rejected("a", [[("a", math.nan)]])
 
+    def test_rejects_bool_logp(self):
+        with pytest.raises(LatticeError, match="logp must be a number"):
+            make_lattice("x", "a", [[("a", False)]])
+
     def test_fields_and_unpacking(self):
-        (cand,) = make_lattice("x", "a", [[("a", -1.0)]]).positions[0]
+        assert Candidate("a", -1.0) == ("a", -1.0)
+        (cand,) = make_lattice("x", "a", [[Candidate("a", -1.0)]]).positions[0]
         token, logp = cand
-        assert (cand.token, cand.logp) == (token, logp) == ("a", -1.0)
+        assert (token, logp) == ("a", -1.0)
 
 
 class TestLatticeInvariants:
@@ -136,7 +148,116 @@ class TestParseSerialize:
 
     def test_canonicalization_sorts_ties_by_codepoint(self):
         lat = make_lattice("t", "a", [[("b", -1.0), ("a", -1.0)]])
-        assert [c.token for c in lat.positions[0]] == ["a", "b"]
+        assert [t for t, _ in lat.positions[0]] == ["a", "b"]
+
+
+def dict_form(lat):
+    """The record as json.dumps writes its dict form: serialize_lattice's
+    output before it assembled the text itself."""
+    obj = {
+        "id": lat.id,
+        "input": lat.input,
+        "positions": [[{"t": t, "lp": lp} for t, lp in pos] for pos in lat.positions],
+    }
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+class FloatLogp(float):
+    def __repr__(self):
+        return f"FloatLogp({float.__repr__(self)})"
+
+
+class IntLogp(IntEnum):
+    ZERO = 0
+    MINUS_THREE = -3
+
+
+# Tokens JSON must escape, the raw line separators, and any other character.
+ANY_TOKEN = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\x85", "\u2028", "\u2029"]),
+    st.characters(),
+)
+NEG_FLOATS = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+# Every kind of logp make_lattice accepts: floats (-0.0 and subnormals
+# included), ints, their subclasses, and other finite real numbers.
+ANY_LOGP = st.one_of(
+    NEG_FLOATS,
+    st.integers(-(10**300), 0),
+    st.sampled_from([0, -3, -0.0, 0.0, -5e-324, -1.7976931348623157e308]),
+    NEG_FLOATS.map(FloatLogp),
+    st.sampled_from(list(IntLogp)),
+    st.fractions(min_value=-(10**6), max_value=0, max_denominator=10**6),
+    st.decimals(min_value=-(10**6), max_value=0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def any_lattices(draw):
+    n = draw(st.integers(0, 5))
+    rows = [
+        draw(st.lists(st.tuples(ANY_TOKEN, ANY_LOGP), max_size=4, unique_by=lambda p: p[0]))
+        for _ in range(n)
+    ]
+    input_s = draw(st.text(st.characters(), min_size=n, max_size=n))
+    lattice_id = draw(st.one_of(st.text(ANY_TOKEN, max_size=4), st.integers()))
+    return make_lattice(lattice_id, input_s, rows)
+
+
+class TestWriter:
+    @given(any_lattices())
+    @settings(max_examples=300, deadline=None)
+    def test_serialize_matches_json_dumps(self, lat):
+        assert serialize_lattice(lat) == dict_form(lat)
+
+    @given(st.lists(any_lattices(), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_write_matches_json_dumps_across_records(self, lats):
+        buf = io.StringIO()
+        write_lattices(lats, buf)
+        assert buf.getvalue() == "".join(dict_form(lat) + "\n" for lat in lats)
+
+    def test_int_logp_is_written_as_an_int(self):
+        lat = make_lattice("x", "a", [[("a", 0), ("b", IntLogp.MINUS_THREE)]])
+        want = '{"id":"x","input":"a","positions":[[{"t":"a","lp":0},{"t":"b","lp":-3}]]}'
+        assert serialize_lattice(lat) == want
+
+
+class TestCanonicalOrder:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_order_gives_the_canonical_position(self, data):
+        """make_lattice sorts only a position it finds out of order; every
+        permutation, ties included, still ends in the canonical order."""
+        tokens = data.draw(st.lists(ANY_TOKEN, max_size=6, unique=True))
+        tie_prone = st.one_of(st.sampled_from([0, 0.0, -0.0, -1, -1.0, -2.5]), NEG_FLOATS)
+        lps = data.draw(st.lists(tie_prone, min_size=len(tokens), max_size=len(tokens)))
+        canonical = sorted(zip(tokens, lps), key=lambda c: (-c[1], c[0]))
+        shuffled = data.draw(st.permutations(canonical))
+        want = make_lattice("x", "a", [canonical])
+        got = make_lattice("x", "a", [shuffled])
+        assert got.positions == want.positions == (tuple(canonical),)
+        assert serialize_lattice(got) == serialize_lattice(want)
+
+
+class TestRepresentation:
+    def test_positions_hold_exact_tuples(self):
+        """Lattices store plain (token, logp) tuples, which the decoder unpacks
+        faster than Candidate; every way of building one keeps to that."""
+        rows = [[Candidate("a", -2.0), ["b", -1.0]], [("c", -0.0001), ("d", -3.0)], [("e", -12.0)]]
+        built = make_lattice("x", "abc", rows)
+        (parsed,) = parse_lattice([serialize_lattice(built)])
+        cc = CharConfusion()
+        cc.phonetic["乙"] = {"丁", "丙"}
+        scored = score_sentence("甲乙", train(["甲乙丙", "甲丁"]), ChannelModel(cc))
+        lats = [built, parsed, scored, prune(built, PruneConfig()), prune(scored, NO_PRUNE)]
+        for lat in lats:
+            assert type(lat.positions) is tuple
+            for pos in lat.positions:
+                assert type(pos) is tuple
+                for cand in pos:
+                    assert type(cand) is tuple and len(cand) == 2
+                    assert type(cand[0]) is str and type(cand[1]) in (float, int)
+        assert len(scored.positions[1]) == 3
 
 
 class TestPruneConfig:
@@ -157,27 +278,27 @@ class TestPrune:
     def test_high_confidence_position_is_fixed(self):
         lat = lat_of("甲", [[("甲", -0.0005), ("家", -2.1)]])
         out = prune(lat, PruneConfig())
-        assert [(c.token, c.logp) for c in out.positions[0]] == [("甲", -0.0005)]
+        assert out.positions[0] == (("甲", -0.0005),)
 
     def test_below_minimum_discarded(self):
         lat = lat_of("a", [[("a", -1.0), ("b", -12.0)]])
         out = prune(lat, PruneConfig())
-        assert [c.token for c in out.positions[0]] == ["a"]
+        assert [t for t, _ in out.positions[0]] == ["a"]
 
     def test_survivor_rule_keeps_top(self):
         lat = lat_of("a", [[("a", -13.0), ("b", -14.0)]])
         out = prune(lat, PruneConfig())
-        assert [(c.token, c.logp) for c in out.positions[0]] == [("a", -13.0)]
+        assert out.positions[0] == (("a", -13.0),)
 
     def test_boundary_equal_values_kept_unfixed(self):
         lat = lat_of("a", [[("a", -0.001), ("b", -11.0)]])
         out = prune(lat, PruneConfig())
-        assert [c.token for c in out.positions[0]] == ["a", "b"]
+        assert [t for t, _ in out.positions[0]] == ["a", "b"]
 
     def test_k_truncation(self):
         lat = lat_of("a", [[("a", -1.0), ("b", -2.0), ("c", -3.0)]])
         out = prune(lat, PruneConfig(k=2))
-        assert [c.token for c in out.positions[0]] == ["a", "b"]
+        assert [t for t, _ in out.positions[0]] == ["a", "b"]
 
     def test_disabled_config_is_identity(self):
         rng = random.Random(5)
@@ -216,9 +337,9 @@ class TestGreedyPath:
             p = greedy_decode(lat)
             best = max(
                 itertools.product(*lat.positions),
-                key=lambda combo: sum(c.logp for c in combo),
+                key=lambda combo: sum(lp for _, lp in combo),
             )
-            assert p.raw_score == pytest.approx(sum(c.logp for c in best))
+            assert p.raw_score == pytest.approx(sum(lp for _, lp in best))
             assert p.tokens == argmax_tokens(lat)
 
     def test_empty_position_is_contract_violation(self):
