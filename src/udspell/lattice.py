@@ -8,12 +8,14 @@ one record per sentence:
     {"id": "...", "input": "...", "positions": [[{"t": "x", "lp": -0.5}, ...], ...]}
 
 Candidates are canonically ordered by log-probability descending, ties by
-token code point ascending. ``make_lattice``, through which the parser and
-the scorer build every lattice, checks it and puts it in that order in one
-pass, so positions are canonical by construction; ``prune`` derives a
-lattice from a valid one without checking it again. Positions hold plain
-``(token, logp)`` tuples, whose logp is an exact ``float`` or ``int``;
-``Candidate`` is the equal-comparing name for building them.
+token code point ascending. ``make_lattice`` checks a lattice that is read
+(``parse_lattice``) or built by a caller, and puts it in that order in one
+pass. The scorer's ``score_sentence`` builds each position once, canonical
+by construction, with its confusion tokens checked once per observed
+character; ``prune`` derives a lattice from a valid one without checking it
+again. Positions hold plain ``(token, logp)`` tuples, whose logp is an exact
+``float`` or ``int``; ``Candidate`` is the equal-comparing name for building
+them.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ class Candidate(NamedTuple):
 class Lattice:
     """Per-position top-k candidates for one input sentence. The constructor
     checks nothing, and pruning and decoding trust the positions as given:
-    build a lattice with make_lattice, parse_lattice or prune."""
+    build a lattice with make_lattice, parse_lattice, score_sentence or prune."""
 
     id: str
     input: str
@@ -122,11 +124,15 @@ def parse_lattice(stream: Iterable[str] | IO[str]) -> Iterator[Lattice]:
             continue
         try:
             obj = json.loads(line)
-            positions = [[(c["t"], float(c["lp"])) for c in pos] for pos in obj["positions"]]
+            # a JSON int is read as a float (make_lattice refuses bools, strings, null)
+            positions = [
+                [(c["t"], lp if type(lp := c["lp"]) is not int else float(lp)) for c in pos]
+                for pos in obj["positions"]
+            ]
             yield make_lattice(str(obj["id"]), obj["input"], positions)
         except LatticeError as e:
             raise LatticeError(f"record {idx}: {e}") from e
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as e:
             raise LatticeError(f"record {idx}: malformed lattice record: {e}") from e
 
 
@@ -177,9 +183,9 @@ def prune(lat: Lattice, cfg: PruneConfig) -> Lattice:
         if cands and cands[0][1] > cfg.max_logp:
             out.append((cands[0],))
             continue
-        kept = tuple(c for c in cands if c[1] >= cfg.min_logp)[: cfg.k]
-        if not kept and cands:
-            kept = (cands[0],)
+        kept = cands[: cfg.k]
+        if kept and kept[-1][1] < cfg.min_logp:  # canonical order: the survivors are a prefix
+            kept = kept[: next(i for i, c in enumerate(kept) if c[1] < cfg.min_logp) or 1]
         out.append(kept)
     return Lattice(id=lat.id, input=lat.input, positions=tuple(out))
 

@@ -9,7 +9,6 @@ methods treat them.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable
@@ -43,7 +42,12 @@ FUZZY_GROUPS: tuple[frozenset[str], ...] = (
 
 _FUZZY_REP = {i: min(g) for g in FUZZY_GROUPS for i in g}
 
-_SYLLABLE_RE = re.compile(r"^[a-züv]+[1-5]$")
+# Every valid toneless body, split as (initial, final); a longer initial
+# overrides a shorter one, so the longest initial wins.
+_BODIES: dict[str, tuple[str, str]] = {
+    ini + fin: (ini, fin) for ini in sorted(("", *INITIALS), key=len) for fin in FINALS
+}
+_TONES = {str(t): t for t in range(1, 6)}
 
 
 @dataclass(frozen=True)
@@ -72,15 +76,10 @@ def decompose(integral: str) -> PinyinSyllable:
     initials; the remainder must be a known final.
     """
     s = integral.strip().lower().replace("ü", "v")
-    if not _SYLLABLE_RE.match(s):
+    split, tone = _BODIES.get(s[:-1]), _TONES.get(s[-1:])
+    if split is None or tone is None:
         raise PinyinError(f"unparseable pinyin syllable {integral!r}")
-    body, tone = s[:-1], int(s[-1])
-    for n in (2, 1):  # initials have one or two letters
-        if body[:n] in INITIALS and body[n:] in FINALS:
-            return PinyinSyllable(integral=s, initial=body[:n], final=body[n:], tone=tone)
-    if body in FINALS:
-        return PinyinSyllable(integral=s, initial="", final=body, tone=tone)
-    raise PinyinError(f"unparseable pinyin syllable {integral!r}")
+    return PinyinSyllable(integral=s, initial=split[0], final=split[1], tone=tone)
 
 
 def phonetic_similar(a: PinyinSyllable, b: PinyinSyllable, fuzzy: bool = True) -> bool:

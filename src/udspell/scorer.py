@@ -7,21 +7,22 @@ keep-or-confuse channel. It makes no attempt to match neural accuracy.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 from .confusion import CharConfusion
 from .errors import ScorerError
-from .lattice import Lattice, make_lattice
+from .lattice import Lattice
 
 _BOS = "\x02"
 
 
 @dataclass
 class NgramModel:
-    """Add-alpha smoothed char model: P(c | previous ``order`` chars). ``totals``
-    holds each context's summed count, derived from ``counts``."""
+    """Add-alpha smoothed char model: P(c | previous ``order`` chars), as
+    score_sentence computes it. ``totals`` holds each context's summed count,
+    derived from ``counts``."""
 
     order: int = 2
     alpha: float = 0.1
@@ -31,12 +32,6 @@ class NgramModel:
 
     def __post_init__(self) -> None:
         self.totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
-
-    def logprobs(self, ctx: str, chars: Iterable[str]) -> list[float]:
-        """Log-probabilities of ``chars`` after the exactly ``order``-char ``ctx``."""
-        counter = self.counts.get(ctx) or {}
-        denom = self.totals.get(ctx, 0) + self.alpha * max(1, len(self.vocab))
-        return [math.log((counter.get(c, 0) + self.alpha) / denom) for c in chars]
 
 
 def _check_params(order: int, alpha: float) -> None:
@@ -49,19 +44,18 @@ def _check_params(order: int, alpha: float) -> None:
 def train(corpus: Iterable[str], order: int = 2, alpha: float = 0.1) -> NgramModel:
     """Count-based training; deterministic for a fixed corpus."""
     _check_params(order, alpha)
-    counts: dict[str, Counter] = {}
+    counts: defaultdict[str, Counter] = defaultdict(Counter)
     vocab: set[str] = set()
     n_sentences = 0
     for sentence in corpus:
         n_sentences += 1
         padded = _BOS * order + sentence
         for i in range(order, len(padded)):
-            ctx = padded[i - order : i]
-            counts.setdefault(ctx, Counter())[padded[i]] += 1
-            vocab.add(padded[i])
+            counts[padded[i - order : i]][padded[i]] += 1
+        vocab.update(sentence)
     if n_sentences == 0 or not vocab:
         raise ScorerError("cannot train on an empty corpus")
-    return NgramModel(order=order, alpha=alpha, counts=counts, vocab=tuple(sorted(vocab)))
+    return NgramModel(order=order, alpha=alpha, counts=dict(counts), vocab=tuple(sorted(vocab)))
 
 
 def save_model(model: NgramModel, fh: IO[str]) -> None:
@@ -122,10 +116,14 @@ class ChannelModel:
 
     def entry(self, observed: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
         """The observed character, then its confusion candidates in code-point
-        order, with log P(observed | intended) for each."""
+        order, with log P(observed | intended) for each. ScorerError if a
+        candidate is not one character."""
         if observed not in self._entries:
             ph, mo = self.confusion.phonetic, self.confusion.morphological
             confs = sorted(ph.get(observed, set()) | mo.get(observed, set()))
+            for c in confs:
+                if len(c) != 1:
+                    raise ScorerError(f"{observed!r}: confusion candidate {c!r} is not one character")
             tokens = (observed, *(c for c in confs if c != observed))
             swap = (1.0 - self.p_keep) / len(confs) if confs else 0.0
             keep_lp = math.log(self.p_keep if confs else 1.0)
@@ -134,35 +132,39 @@ class ChannelModel:
         return self._entries[observed]
 
 
-def _logsumexp(xs: list[float]) -> float:
-    m = max(xs)
-    if m == -math.inf:
-        return m
-    return m + math.log(sum(math.exp(x - m) for x in xs))
-
-
 def score_sentence(
     sentence: str, lm: NgramModel, ch: ChannelModel, k: int = 5, id: str = ""
 ) -> Lattice:
     """Top-k lattice for one sentence under the noisy-channel posterior.
 
     Per position the candidate set is the observed character plus its
-    confusion candidates; scores are renormalized over that set so every
-    emitted log-probability is <= 0.
+    confusion candidates, each scored log P_lm + log P_channel with the add-alpha
+    P_lm(c | ctx) = (count(ctx, c) + alpha) / (total(ctx) + alpha * |vocab|).
+    Scores are renormalized over that set, so every emitted logp is a float
+    <= 0: the log-sum-exp is at least every score. Positions are built once,
+    in canonical order, from single-character tokens that ``ChannelModel.entry``
+    checks, so the lattice needs no pass through ``make_lattice``.
     """
     if k < 1:
         raise ScorerError(f"k must be >= 1, got {k}")
-    padded = _BOS * lm.order + sentence
+    order, alpha, counts, totals = lm.order, lm.alpha, lm.counts, lm.totals
+    smooth = alpha * max(1, len(lm.vocab))
+    padded = _BOS * order + sentence
+    exp, log = math.exp, math.log
     positions = []
     for j, obs in enumerate(sentence):
         cands, channel = ch.entry(obs)
-        scores = [a + b for a, b in zip(lm.logprobs(padded[j : j + lm.order], cands), channel)]
-        norm = _logsumexp(scores)
+        ctx = padded[j : j + order]
+        counter = counts.get(ctx) or {}
+        denom = totals.get(ctx, 0) + smooth
+        scores = [log((counter.get(t, 0) + alpha) / denom) + b for t, b in zip(cands, channel)]
+        m = max(scores)
+        norm = m + log(sum([exp(s - m) for s in scores]))
         # zero-probability candidates (p_keep == 1) cannot appear in a lattice
-        scored = [(t, min(s - norm, 0.0)) for t, s in zip(cands, scores) if s > -math.inf]
+        scored = [(t, s - norm) for t, s in zip(cands, scores) if s > -math.inf]
         scored.sort(key=lambda p: (-p[1], p[0]))
-        positions.append(scored[:k])
-    return make_lattice(id or sentence, sentence, positions)
+        positions.append(tuple(scored[:k]))
+    return Lattice(id or sentence, sentence, tuple(positions))
 
 
 def score_corpus(

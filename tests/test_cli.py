@@ -317,6 +317,16 @@ class TestPipeline:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1].startswith("error: record 0: "), err
 
+    def test_decode_logp_beyond_float_range_names_record(self, workdir, capsys):
+        lat = workdir / "huge.jsonl"
+        lp = "-" + "9" * 400
+        lat.write_text(
+            '{"id":"a","input":"甲","positions":[[{"t":"甲","lp":%s}]]}\n' % lp, encoding="utf-8"
+        )
+        code, out, err = run(capsys, "decode", "--lattice", str(lat))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: record 0: "), err
+
     def test_decode_unopenable_lattice_prints_only_the_error(self, workdir, capsys, monkeypatch):
         # skip the parser's existence check so that open() itself fails
         monkeypatch.setattr("udspell.cli._existing_file", Path)

@@ -29,6 +29,7 @@ from udspell.lattice import (
 from udspell.scorer import ChannelModel, score_sentence, train
 
 from conftest import NO_PRUNE, argmax_tokens, random_lattice
+from oracle import reference
 
 
 def lat_of(input_s, rows):
@@ -149,6 +150,22 @@ class TestParseSerialize:
     def test_canonicalization_sorts_ties_by_codepoint(self):
         lat = make_lattice("t", "a", [[("b", -1.0), ("a", -1.0)]])
         assert [t for t, _ in lat.positions[0]] == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "lp",
+        ["false", "true", "null", '"-0.5"', '" -1e0 "', "[]", pytest.param("-" + "9" * 400, id="-9e399")],
+    )
+    def test_logp_that_is_not_a_float_or_int_names_record(self, lp):
+        rec = '{"id":"r","input":"a","positions":[[{"t":"a","lp":%s}]]}' % lp
+        with pytest.raises(LatticeError, match="record 0"):
+            list(parse_lattice([rec]))
+
+    @pytest.mark.parametrize("lp,want", [("-3", -3.0), ("0", 0.0), ("-0", 0.0)])
+    def test_int_logp_is_read_as_a_float(self, lp, want):
+        """JSON ints parse as floats, so a record reads back in its float form."""
+        (lat,) = parse_lattice(['{"id":"r","input":"a","positions":[[{"t":"a","lp":%s}]]}' % lp])
+        assert type(lat.positions[0][0][1]) is float
+        assert repr(lat.positions[0][0][1]) == repr(want)
 
 
 def dict_form(lat):
@@ -314,6 +331,29 @@ class TestPrune:
         once = prune(lat, PruneConfig())
         assert all(len(p) >= 1 for p in once.positions)
         assert prune(once, PruneConfig()) == once
+
+
+@st.composite
+def prune_cases(draw):
+    """A canonical lattice with logps around the thresholds, and a PruneConfig."""
+    lps = st.one_of(st.sampled_from([0.0, -0.001, -0.5, -11.0, -12.0]), NEG_FLOATS)
+    cands = st.lists(st.tuples(st.sampled_from("abcdef"), lps), max_size=6, unique_by=lambda c: c[0])
+    n = draw(st.integers(0, 4))
+    lat = make_lattice("x", "a" * n, [draw(cands) for _ in range(n)])
+    min_logp = draw(st.one_of(st.sampled_from([-11.0, -math.inf]), st.floats(max_value=-1e-9)))
+    max_logp = draw(st.floats(min_value=min_logp, max_value=0.0, exclude_min=True))
+    return lat, PruneConfig(min_logp=min_logp, max_logp=max_logp, k=draw(st.integers(1, 7)))
+
+
+class TestPruneMatchesReference:
+    @given(prune_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_positions(self, case):
+        lat, cfg = case
+        want = reference.prune(lat.positions, cfg.min_logp, cfg.max_logp, cfg.k)
+        got = prune(lat, cfg)
+        assert [list(pos) for pos in got.positions] == [list(pos) for pos in want]
+        assert all(type(pos) is tuple for pos in got.positions)
 
 
 class TestGreedyPath:

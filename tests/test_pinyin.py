@@ -1,3 +1,5 @@
+import re
+import string
 from importlib import resources
 from itertools import product
 
@@ -87,6 +89,53 @@ class TestDecompose:
         else:
             syl = decompose(f"{body}{tone}")
             assert (syl.initial, syl.final, syl.tone) == (*expected, tone)
+
+
+_SYLLABLE_RE = re.compile(r"^[a-züv]+[1-5]$")
+
+
+def regex_decompose(integral):
+    """decompose by a regex check and a longest-first scan of the initials: the
+    oracle for decompose's table lookup."""
+    s = integral.strip().lower().replace("ü", "v")
+    if not _SYLLABLE_RE.match(s):
+        raise PinyinError(f"unparseable pinyin syllable {integral!r}")
+    body, tone = s[:-1], int(s[-1])
+    for n in (2, 1):
+        if body[:n] in INITIALS and body[n:] in FINALS:
+            return PinyinSyllable(integral=s, initial=body[:n], final=body[n:], tone=tone)
+    if body in FINALS:
+        return PinyinSyllable(integral=s, initial="", final=body, tone=tone)
+    raise PinyinError(f"unparseable pinyin syllable {integral!r}")
+
+
+def outcome(f, integral):
+    try:
+        return f(integral)
+    except PinyinError as e:
+        return str(e)
+
+
+class TestDecomposeOracle:
+    def test_every_short_string(self):
+        """All strings of up to three letters, with valid and invalid tone digits."""
+        bodies = ["".join(t) for n in range(4) for t in product(string.ascii_lowercase, repeat=n)]
+        for body in bodies + sorted(ini + fin for ini in INITIALS for fin in FINALS):
+            for tone in ("", "0", "1", "5", "6"):
+                assert outcome(decompose, body + tone) == outcome(regex_decompose, body + tone)
+
+    @given(
+        st.tuples(
+            st.sampled_from(["", " ", "\t", "\n"]),
+            st.text(alphabet="abceghilnorsuvzüAHÜ", max_size=6),
+            st.sampled_from(["", "1", "3", "5", "0", "6", "x", "\n"]),
+            st.sampled_from(["", " ", "\n"]),
+        ).map("".join)
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_decorated_strings(self, integral):
+        """Upper case, u-umlaut and surrounding whitespace."""
+        assert outcome(decompose, integral) == outcome(regex_decompose, integral)
 
 
 def all_valid_syllables():
