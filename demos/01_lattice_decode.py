@@ -9,7 +9,7 @@ flip the decode.
 Run:  python3 demos/01_lattice_decode.py
 """
 from udspell import Candidate, DecodeConfig, UserDictionary, decode, make_lattice
-from udspell.decoder import path_edits
+from udspell.errors import diff_runs
 
 SENTENCE = "人民监查员依法审查案件"
 
@@ -28,11 +28,11 @@ def build_lattice():
 
 
 def show(label, path):
-    flips = path_edits(SENTENCE, path.tokens)
     print(f"{label:24} {path.tokens}")
     print(f"{'':24} raw={path.raw_score:+.2f} dict={path.dict_score} total={path.total:+.2f}")
-    for e in flips:
-        print(f"{'':24} position {e.pos}: {e.orig} -> {e.repl}")
+    for s, e in diff_runs(SENTENCE, path.tokens):
+        for i in range(s, e):
+            print(f"{'':24} position {i}: {SENTENCE[i]} -> {path.tokens[i]}")
     print()
 
 

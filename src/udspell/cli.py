@@ -18,9 +18,9 @@ from . import confusion as confusion_mod
 from . import ecm as ecm_mod
 from . import evaluate as eval_mod
 from . import scorer as scorer_mod
-from .decoder import CorpusDiagnostics, DecodeConfig, decode_corpus, path_edits
+from .decoder import CorpusDiagnostics, DecodeConfig, decode_corpus
 from .dictionary import UserDictionary, build_ideal_dictionary, load_dictionary
-from .errors import UdspellError
+from .errors import UdspellError, diff_runs
 from .lattice import PruneConfig, parse_lattice, write_lattices
 from .pinyin import default_table, load_pinyin_table
 
@@ -221,8 +221,9 @@ def _cmd_decode(args, out: IO[str]) -> None:
                             "dict_score": path.dict_score,
                             "total": path.total,
                             "edits": [
-                                {"pos": e.pos, "orig": e.orig, "repl": e.repl}
-                                for e in path_edits(lat.input, path.tokens)
+                                {"pos": i, "orig": lat.input[i], "repl": path.tokens[i]}
+                                for s, e in diff_runs(lat.input, path.tokens)
+                                for i in range(s, e)
                             ],
                         },
                         ensure_ascii=False,

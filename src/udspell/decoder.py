@@ -16,7 +16,6 @@ from typing import Iterable, Iterator
 from .dictionary import UserDictionary, rsm_fixed_positions
 from .errors import DecodeError
 from .lattice import Lattice, PruneConfig, candidate_path_count, prune
-from .ecm import Edit
 
 
 @dataclass(frozen=True)
@@ -155,11 +154,6 @@ class CorpusDiagnostics:
         if not self.sentence_count:
             return 0.0
         return math.log10(self.total_paths) - math.log10(self.sentence_count)
-
-
-def path_edits(input: str, path: str) -> list[Edit]:
-    """Single-character edits turning input into path."""
-    return [Edit(i, a, b) for i, (a, b) in enumerate(zip(input, path)) if a != b]
 
 
 def decode_corpus(

@@ -11,7 +11,7 @@ import random
 from collections import Counter, deque
 from typing import IO, Iterable, Iterator
 
-from .errors import DictionaryError
+from .errors import DictionaryError, diff_runs
 
 logger = logging.getLogger(__name__)
 
@@ -112,23 +112,6 @@ def rsm_fixed_positions(input: str, dic: UserDictionary) -> set[int]:
     return fixed
 
 
-def _diff_runs(source: str, target: str) -> list[tuple[int, int]]:
-    """Maximal (start, end) runs where the two equal-length strings differ."""
-    runs = []
-    i = 0
-    n = len(source)
-    while i < n:
-        if source[i] != target[i]:
-            j = i
-            while j < n and source[j] != target[j]:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    return runs
-
-
 def greedy_segment(text: str, words: set[str]) -> list[str]:
     """Greedy left-to-right longest-match segmentation against a word set."""
     out = []
@@ -166,7 +149,7 @@ def error_phrases(pairs: Iterable[tuple[str, str]]) -> set[str]:
     for source, target in pairs:
         if len(source) != len(target):
             raise DictionaryError("dataset pair lengths differ")
-        runs = _diff_runs(source, target)
+        runs = diff_runs(source, target)
         if not runs:
             continue
         # start and end of the word holding each position of the segmented target

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the toolkit, and :func:`table_rows`, the
-one row reader of its tab-separated tables: the character and fragment
-confusion sets, the pinyin table, evaluation records and datasets."""
+"""Exception hierarchy shared across the toolkit, and its two shared rules:
+:func:`table_rows`, the one row reader of its tab-separated tables (the
+character and fragment confusion sets, the pinyin table, evaluation records
+and datasets), and :func:`diff_runs`, the one answer to where two sentences
+differ (decode's edits, evaluation, dataset statistics, ideal dictionaries)."""
 from typing import Iterable
 
 
@@ -55,3 +57,19 @@ def table_rows(lines: Iterable[str], fields: int, error: type[UdspellError], wha
         if len(parts) != fields:
             raise error(f"line {ln}: bad {what} {line!r}: expected {fields} tab-separated fields")
         yield ln, parts
+
+
+def diff_runs(source: str, target: str) -> list[tuple[int, int]]:
+    """The maximal ``(start, end)`` runs, end exclusive and in order, where two
+    equal-length strings differ. Callers check the lengths."""
+    runs = []
+    i, n = 0, len(source)
+    while i < n:
+        if source[i] != target[i]:
+            j = i + 1
+            while j < n and source[j] != target[j]:
+                j += 1
+            runs.append((i, j))
+            i = j
+        i += 1
+    return runs

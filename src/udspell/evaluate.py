@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import EvalError, table_rows
+from .errors import EvalError, diff_runs, table_rows
 
 STYLES = ("faspell", "official")
 LEVELS = ("detection", "correction")
@@ -40,10 +40,6 @@ class MetricsReport:
     pre: float
     rec: float
     f1: float
-
-
-def _diff_positions(a: str, b: str) -> frozenset[int]:
-    return frozenset(i for i in range(len(a)) if a[i] != b[i])
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -74,7 +70,7 @@ def sentence_metrics(
         elif style == "official":
             hit = True
         else:
-            hit = _diff_positions(rec.pred, rec.input) == _diff_positions(rec.gold, rec.input)
+            hit = diff_runs(rec.pred, rec.input) == diff_runs(rec.gold, rec.input)
         tp += int(hit)
 
     pre = _safe_div(tp, flagged)
@@ -104,15 +100,6 @@ class DatasetStats:
     continuous_error_sents: int
 
 
-def _has_continuous_error(source: str, target: str) -> bool:
-    run = 0
-    for a, b in zip(source, target):
-        run = run + 1 if a != b else 0
-        if run >= 2:
-            return True
-    return False
-
-
 def dataset_stats(pairs: Iterable[tuple[str, str]]) -> DatasetStats:
     """Error-sentence counts and length statistics of (source, target) pairs."""
     total = errors = continuous = 0
@@ -124,7 +111,7 @@ def dataset_stats(pairs: Iterable[tuple[str, str]]) -> DatasetStats:
         lengths.append(len(source))
         if source != target:
             errors += 1
-            continuous += int(_has_continuous_error(source, target))
+            continuous += any(e - s >= 2 for s, e in diff_runs(source, target))
     if not lengths:
         return DatasetStats(0, 0, None, None, None, 0)
     return DatasetStats(

@@ -72,9 +72,10 @@ class PruneConfig:
 
 
 def _plain_logp(id: str, lp) -> int | float:
-    """A finite logp that is not an exact float, as the exact int or float of
-    equal value, whose repr is its JSON form; a bool is refused."""
-    if isinstance(lp, bool):
+    """A logp that is not an exact float, as the exact int or float of equal
+    value, whose repr is its JSON form; a bool, or a value without ``__float__``
+    such as a string or None, is refused."""
+    if isinstance(lp, bool) or not hasattr(lp, "__float__"):
         raise LatticeError(f"lattice {id!r}: logp must be a number, got {lp!r}")
     return int(lp) if isinstance(lp, int) else float(lp)
 
@@ -94,10 +95,10 @@ def make_lattice(id: str, input: str, positions: Iterable[Iterable[tuple[str, fl
         for tok, lp in pairs:
             if len(tok) != 1:
                 raise LatticeError(f"lattice {id!r}: token must be one character, got {tok!r}")
-            if not (math.isfinite(lp) and lp <= 0.0):
-                raise LatticeError(f"lattice {id!r}: logp must be finite and <= 0, got {lp!r}")
             if type(lp) is not float:
                 lp = _plain_logp(id, lp)
+            if not (math.isfinite(lp) and lp <= 0.0):
+                raise LatticeError(f"lattice {id!r}: logp must be finite and <= 0, got {lp!r}")
             if lp > prev_lp or lp == prev_lp and tok <= prev_tok:
                 in_order = False
             prev_lp, prev_tok = lp, tok

@@ -22,7 +22,7 @@ _BOS = "\x02"
 class NgramModel:
     """Add-alpha smoothed char model: P(c | previous ``order`` chars), as
     score_sentence computes it. ``totals`` holds each context's summed count,
-    derived from ``counts``."""
+    derived from ``counts``; ScorerError if an unseen character's P underflows."""
 
     order: int = 2
     alpha: float = 0.1
@@ -32,6 +32,9 @@ class NgramModel:
 
     def __post_init__(self) -> None:
         self.totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
+        top = max(self.totals.values(), default=0)
+        if self.alpha / (top + self.alpha * max(1, len(self.vocab))) == 0.0:
+            raise ScorerError(f"alpha {self.alpha!r} underflows beside a context count of {top}")
 
 
 def _check_params(order: int, alpha: float) -> None:

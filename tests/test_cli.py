@@ -118,6 +118,27 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: line 3: malformed count entry"), err
 
+    def test_model_alpha_that_underflows_is_runtime_error(self, workdir, capsys):
+        model = workdir / "model.tsv"
+        # an unseen character's probability 1e-320 / (1e6 + 2e-320) underflows to 0
+        model.write_text(
+            "#udspell-ngram\t1\t1\t1e-320\n#vocab\t甲乙\n\x02\t甲\t1000000\n", "utf-8"
+        )
+        (workdir / "chars.tsv").write_text("甲\tM\t丙\n", "utf-8")
+        (workdir / "in.txt").write_text("甲乙\n", "utf-8")
+        code, out, err = run(
+            capsys,
+            "score",
+            "--model",
+            str(model),
+            "--char-confusion",
+            str(workdir / "chars.tsv"),
+            "--input",
+            str(workdir / "in.txt"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: alpha 1e-320 underflows"), err
+
     def test_malformed_input_is_runtime_error(self, workdir, capsys):
         bad = workdir / "bad.tsv"
         bad.write_text("only-one-field\n", encoding="utf-8")

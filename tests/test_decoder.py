@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udspell.decoder import (
-    CorpusDiagnostics,
-    DecodeConfig,
-    decode,
-    decode_corpus,
-    path_edits,
-)
+from udspell.decoder import CorpusDiagnostics, DecodeConfig, decode, decode_corpus
 from udspell.dictionary import UserDictionary
 from udspell.errors import DecodeError
 from udspell.lattice import Candidate, PruneConfig, make_lattice, prune
@@ -374,9 +368,3 @@ class TestDecodeCorpus:
         peak(20)  # first-call allocations (caches, specializations) stay out of both
         small = peak(20)
         assert peak(200) < 2 * small
-
-
-class TestPathEdits:
-    def test_edit_extraction(self):
-        edits = path_edits("甲乙丙", "甲戊丙")
-        assert [(e.pos, e.orig, e.repl) for e in edits] == [(1, "乙", "戊")]

@@ -69,6 +69,12 @@ class TestCandidate:
         with pytest.raises(LatticeError, match="logp must be a number"):
             make_lattice("x", "a", [[("a", False)]])
 
+    @pytest.mark.parametrize("lp", ["-0.5", None, [-0.5]])
+    def test_rejects_non_number_logp(self, lp):
+        with pytest.raises(LatticeError, match="lattice 'x': logp must be a number"):
+            make_lattice("x", "a", [[("a", lp)]])
+        assert_rejected("a", [[("a", lp)]])
+
     def test_fields_and_unpacking(self):
         assert Candidate("a", -1.0) == ("a", -1.0)
         (cand,) = make_lattice("x", "a", [[Candidate("a", -1.0)]]).positions[0]

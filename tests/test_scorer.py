@@ -59,6 +59,12 @@ class TestTrain:
         with pytest.raises(ScorerError):
             train([])
 
+    def test_alpha_that_underflows_is_refused(self):
+        # alpha / (20000 + 2 * alpha) is below the smallest subnormal float
+        with pytest.raises(ScorerError, match="alpha 1e-320 underflows"):
+            train(["甲乙" * 20000], order=1, alpha=1e-320)
+        assert train(["甲乙" * 20000], order=1, alpha=1e-300).alpha == 1e-300
+
     def test_probabilities_normalize(self):
         """The add-alpha estimate is a distribution over the vocabulary, so
         renormalizing it changes nothing."""
