@@ -8,7 +8,7 @@ flip the decode.
 
 Run:  python3 demos/01_lattice_decode.py
 """
-from udspell import Candidate, DecodeConfig, UserDictionary, decode, make_lattice
+from udspell import DecodeConfig, UserDictionary, decode, make_lattice
 from udspell.errors import diff_runs
 
 SENTENCE = "人民监查员依法审查案件"
@@ -20,9 +20,9 @@ SECOND = {2: ("检", -2.0), 3: ("察", -1.5), 4: ("院", -2.5)}
 def build_lattice():
     positions = []
     for j, ch in enumerate(SENTENCE):
-        row = [Candidate(ch, -0.1 if j in SECOND else -0.01)]
+        row = [(ch, -0.1 if j in SECOND else -0.01)]
         if j in SECOND:
-            row.append(Candidate(*SECOND[j]))
+            row.append(SECOND[j])
         positions.append(row)
     return make_lattice("demo", SENTENCE, positions)
 

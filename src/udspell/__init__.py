@@ -18,23 +18,13 @@ from .dictionary import UserDictionary, build_ideal_dictionary, load_dictionary
 from .ecm import CorruptionRecord, EcmConfig, generate_corpus
 from .errors import UdspellError
 from .evaluate import EvalRecord, dataset_stats, sentence_metrics
-from .lattice import (
-    Candidate,
-    Lattice,
-    PruneConfig,
-    candidate_path_count,
-    make_lattice,
-    parse_lattice,
-    prune,
-    serialize_lattice,
-)
+from .lattice import Lattice, PruneConfig, make_lattice, parse_lattice, prune
 from .pinyin import PinyinSyllable, PinyinTable, decompose, phonetic_similar
 from .scorer import ChannelModel, NgramModel, score_sentence, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Candidate",
     "ChannelModel",
     "CharConfusion",
     "CorpusDiagnostics",
@@ -53,7 +43,6 @@ __all__ = [
     "UserDictionary",
     "build_ideal_dictionary",
     "build_ngram_confusion",
-    "candidate_path_count",
     "dataset_stats",
     "decode",
     "decode_corpus",
@@ -67,6 +56,5 @@ __all__ = [
     "prune",
     "score_sentence",
     "sentence_metrics",
-    "serialize_lattice",
     "train",
 ]

@@ -113,7 +113,7 @@ def load_char_confusion(
 def default_char_confusion(pinyin_table: PinyinTable) -> CharConfusion:
     """The small confusion set bundled with the package."""
     text = resources.files("udspell.data").joinpath("char_confusion.tsv").read_text("utf-8")
-    return load_char_confusion(text.splitlines(), pinyin_table=pinyin_table)
+    return load_char_confusion(text.split("\n"), pinyin_table=pinyin_table)
 
 
 @dataclass

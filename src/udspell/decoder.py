@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .dictionary import UserDictionary, rsm_fixed_positions
 from .errors import DecodeError
-from .lattice import Lattice, PruneConfig, candidate_path_count, prune
+from .lattice import Lattice, PruneConfig, prune
 
 
 @dataclass(frozen=True)
@@ -179,6 +179,6 @@ def decode_corpus(
             diag.errors.append((lat.id, str(e)))
             continue
         diag.sentence_count += 1
-        diag.total_paths += candidate_path_count(plat)
+        diag.total_paths += math.prod(map(len, plat.positions))
         diag.flip_count += int(path.tokens != lat.input)
         yield lat, path

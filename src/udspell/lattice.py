@@ -1,4 +1,4 @@
-"""Top-k candidate lattices: parsing, serialization, pruning, path counting.
+"""Top-k candidate lattices: parsing, writing and pruning.
 
 A lattice holds, for every position of an input sentence, a short list of
 candidate characters with natural-log probabilities, as emitted by any
@@ -13,26 +13,17 @@ token code point ascending. ``make_lattice`` checks a lattice that is read
 pass. The scorer's ``score_sentence`` builds each position once, canonical
 by construction, with its confusion tokens checked once per observed
 character; ``prune`` derives a lattice from a valid one without checking it
-again. Positions hold plain ``(token, logp)`` tuples, whose logp is an exact
-``float`` or ``int``; ``Candidate`` is the equal-comparing name for building
-them.
+again. Positions hold plain ``(str, float)`` tuples: ``make_lattice`` stores
+every logp as the nearest float, and ``write_lattices`` is the one writer.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 from .errors import LatticeError
-
-
-class Candidate(NamedTuple):
-    """One candidate character with its natural-log probability. It compares
-    equal to the plain ``(token, logp)`` tuple a lattice stores for it."""
-
-    token: str
-    logp: float
 
 
 @dataclass(frozen=True)
@@ -44,9 +35,6 @@ class Lattice:
     id: str
     input: str
     positions: tuple[tuple[tuple[str, float], ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.input)
 
 
 @dataclass(frozen=True)
@@ -71,20 +59,24 @@ class PruneConfig:
             raise LatticeError(f"k must be >= 1, got {self.k}")
 
 
-def _plain_logp(id: str, lp) -> int | float:
-    """A logp that is not an exact float, as the exact int or float of equal
-    value, whose repr is its JSON form; a bool, or a value without ``__float__``
-    such as a string or None, is refused."""
+def _plain_logp(id: str, lp) -> float:
+    """A logp that is not an exact float, as the nearest float, whose repr is
+    its JSON form; a bool, a value without ``__float__`` such as a string or
+    None, or one out of float range is refused."""
     if isinstance(lp, bool) or not hasattr(lp, "__float__"):
         raise LatticeError(f"lattice {id!r}: logp must be a number, got {lp!r}")
-    return int(lp) if isinstance(lp, int) else float(lp)
+    try:
+        return float(lp)
+    except OverflowError as e:
+        raise LatticeError(f"lattice {id!r}: logp out of float range: {e}") from e
 
 
 def make_lattice(id: str, input: str, positions: Iterable[Iterable[tuple[str, float]]]) -> Lattice:
     """Check and build a lattice from per-position ``(token, logp)`` pairs, each
     position in canonical order. LatticeError names the first violation of: a str
-    input, one character per token, finite logp <= 0 and not a bool, unique
-    tokens per position, and one position per input character."""
+    input, one character per token, a logp that is a number but not a bool, in
+    float range, finite and <= 0, unique tokens per position, and one position
+    per input character."""
     if not isinstance(input, str):
         raise LatticeError(f"lattice {id!r}: input must be a string, got {type(input).__name__}")
     canon = []
@@ -125,30 +117,12 @@ def parse_lattice(stream: Iterable[str] | IO[str]) -> Iterator[Lattice]:
             continue
         try:
             obj = json.loads(line)
-            # a JSON int is read as a float (make_lattice refuses bools, strings, null)
-            positions = [
-                [(c["t"], lp if type(lp := c["lp"]) is not int else float(lp)) for c in pos]
-                for pos in obj["positions"]
-            ]
+            positions = [[(c["t"], c["lp"]) for c in pos] for pos in obj["positions"]]
             yield make_lattice(str(obj["id"]), obj["input"], positions)
         except LatticeError as e:
             raise LatticeError(f"record {idx}: {e}") from e
-        except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as e:
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
             raise LatticeError(f"record {idx}: malformed lattice record: {e}") from e
-
-
-def serialize_lattice(lat: Lattice) -> str:
-    """Canonical single-line JSON form of one lattice record: the bytes of
-    ``json.dumps`` of its dict form with ``ensure_ascii=False`` and
-    ``separators=(",", ":")``."""
-    return _record(lat, _TokenPrefixes())
-
-
-def write_lattices(lats: Iterable[Lattice], fh: IO[str]) -> None:
-    """Write each lattice's serialize_lattice form as one line."""
-    prefixes = _TokenPrefixes()
-    for lat in lats:
-        fh.write(_record(lat, prefixes) + "\n")
 
 
 _to_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
@@ -156,21 +130,26 @@ _to_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 class _TokenPrefixes(dict):
     """Token -> the JSON text ``{"t":<token>,"lp":`` that opens its candidate,
-    made on first use. A logp is an exact float or int, whose repr is its JSON
-    form, so only the token needs the encoder."""
+    made on first use. A logp is a float, whose repr is its JSON form, so only
+    the token needs the encoder."""
 
     def __missing__(self, tok: str) -> str:
         prefix = self[tok] = '{"t":' + _to_json(tok) + ',"lp":'
         return prefix
 
 
-def _record(lat: Lattice, prefixes: _TokenPrefixes) -> str:
-    """serialize_lattice's text, taking token prefixes from ``prefixes``."""
-    positions = ",".join(
-        ["[" + ",".join([prefixes[t] + repr(lp) + "}" for t, lp in pos]) + "]"
-         for pos in lat.positions]
-    )
-    return f'{{"id":{_to_json(lat.id)},"input":{_to_json(lat.input)},"positions":[{positions}]}}'
+def write_lattices(lats: Iterable[Lattice], fh: IO[str]) -> None:
+    """Write each lattice as one line: the bytes of ``json.dumps`` of its dict
+    form with ``ensure_ascii=False`` and ``separators=(",", ":")``."""
+    prefixes = _TokenPrefixes()
+    for lat in lats:
+        positions = ",".join(
+            ["[" + ",".join([prefixes[t] + repr(lp) + "}" for t, lp in pos]) + "]"
+             for pos in lat.positions]
+        )
+        fh.write(
+            f'{{"id":{_to_json(lat.id)},"input":{_to_json(lat.input)},"positions":[{positions}]}}\n'
+        )
 
 
 def prune(lat: Lattice, cfg: PruneConfig) -> Lattice:
@@ -189,12 +168,3 @@ def prune(lat: Lattice, cfg: PruneConfig) -> Lattice:
             kept = kept[: next(i for i, c in enumerate(kept) if c[1] < cfg.min_logp) or 1]
         out.append(kept)
     return Lattice(id=lat.id, input=lat.input, positions=tuple(out))
-
-
-def candidate_path_count(lat: Lattice) -> int:
-    """Exact number of paths: the product of the position sizes."""
-    count = 1
-    for cands in lat.positions:
-        count *= len(cands)
-    return count
-

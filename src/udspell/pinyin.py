@@ -139,4 +139,4 @@ def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:
 def default_table() -> PinyinTable:
     """The table bundled with the package (covers the shipped confusion data)."""
     text = resources.files("udspell.data").joinpath("pinyin.tsv").read_text("utf-8")
-    return load_pinyin_table(text.splitlines())
+    return load_pinyin_table(text.split("\n"))

@@ -1,10 +1,12 @@
+import io
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from udspell.confusion import CharConfusion, NgramConfusion, default_char_confusion
-from udspell.lattice import Candidate, PruneConfig, make_lattice
+from udspell.lattice import PruneConfig, make_lattice, write_lattices
 from udspell.pinyin import default_table
 
 VOCAB = [chr(ord("一") + i) for i in range(20)]
@@ -18,6 +20,20 @@ def argmax_tokens(lat) -> str:
     return "".join(cands[0][0] for cands in lat.positions)
 
 
+def lattice_line(lat) -> str:
+    """The line write_lattices writes for one lattice, newline included."""
+    buf = io.StringIO()
+    write_lattices([lat], buf)
+    return buf.getvalue()
+
+
+def serve_bundled_text(monkeypatch, module, text):
+    """Make every package-data file that ``module`` reads hold ``text``."""
+    path = SimpleNamespace(read_text=lambda encoding: text)
+    files = SimpleNamespace(joinpath=lambda name: path)
+    monkeypatch.setattr(module, "resources", SimpleNamespace(files=lambda package: files))
+
+
 def random_lattice(rng: random.Random, max_n=6, max_k=3, vocab=None, lattice_id="L"):
     """Random valid lattice; the input char is usually the top candidate."""
     vocab = vocab or VOCAB
@@ -28,7 +44,7 @@ def random_lattice(rng: random.Random, max_n=6, max_k=3, vocab=None, lattice_id=
         k = rng.randint(1, max_k)
         toks = rng.sample(vocab, k)
         lps = sorted((rng.uniform(-14.0, -0.0005) for _ in range(k)), reverse=True)
-        positions.append([Candidate(t, lp) for t, lp in zip(toks, lps)])
+        positions.append(list(zip(toks, lps)))
         input_chars.append(toks[0] if rng.random() < 0.7 else rng.choice(vocab))
     return make_lattice(lattice_id, "".join(input_chars), positions)
 

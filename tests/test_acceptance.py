@@ -19,12 +19,7 @@ from udspell.decoder import DecodeConfig, decode
 from udspell.dictionary import UserDictionary
 from udspell.ecm import EcmConfig, generate_corpus
 from udspell.evaluate import EvalRecord, dataset_stats, read_dataset, sentence_metrics
-from udspell.lattice import (
-    Candidate,
-    PruneConfig,
-    make_lattice,
-    prune,
-)
+from udspell.lattice import PruneConfig, make_lattice, prune
 
 from conftest import NO_PRUNE, VOCAB, argmax_tokens, make_dense_confusion, random_lattice
 from oracle import brute_decode
@@ -229,14 +224,12 @@ def test_criterion_9_throughput(capsys):
         positions = []
         for j in range(n):
             if rng.random() < 0.9:
-                positions.append([Candidate(chars[j], -0.01)])
+                positions.append([(chars[j], -0.01)])
             else:
                 toks = rng.sample(VOCAB, 5)
                 toks[0] = chars[j]
                 lps = sorted((rng.uniform(-10, -0.01) for _ in range(5)), reverse=True)
-                positions.append(
-                    [Candidate(t, lp) for t, lp in zip(dict.fromkeys(toks), lps)]
-                )
+                positions.append(list(zip(dict.fromkeys(toks), lps)))
         lats.append(make_lattice(str(i), "".join(chars), positions))
     start = time.perf_counter()
     for lat in lats:

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from udspell.cli import build_parser, main
-from udspell.lattice import make_lattice, serialize_lattice
+from udspell.lattice import make_lattice
 
+from conftest import lattice_line
 from test_decoder import long_lattice
 
 
@@ -158,7 +159,7 @@ class TestExitCodes:
     )
     def test_non_finite_settings_are_runtime_errors(self, workdir, capsys, argv):
         lat = make_lattice("0", "ab", [[("a", -0.1), ("c", -2.0)], [("b", -0.1), ("d", -2.0)]])
-        (workdir / "ab.jsonl").write_text(serialize_lattice(lat) + "\n", encoding="utf-8")
+        (workdir / "ab.jsonl").write_text(lattice_line(lat), encoding="utf-8")
         (workdir / "cd.txt").write_text("cd\n", encoding="utf-8")
         argv = [str(workdir / a) if a.endswith((".txt", ".tsv", ".jsonl")) else a for a in argv]
         code, out, err = run(capsys, *argv)
@@ -304,7 +305,7 @@ class TestPipeline:
 
     def test_decode_path_count_beyond_float_range(self, workdir, capsys):
         lat = workdir / "long.jsonl"
-        lat.write_text(serialize_lattice(long_lattice()) + "\n", encoding="utf-8")
+        lat.write_text(lattice_line(long_lattice()), encoding="utf-8")
         code, out, err = run(capsys, "decode", "--lattice", str(lat))
         assert code == 0
         assert [json.loads(ln)["id"] for ln in out.splitlines()] == ["long"]
@@ -312,9 +313,9 @@ class TestPipeline:
         assert summary["log10_avg_path_count"] == pytest.approx(450 * math.log10(5))
 
     def test_decode_malformed_record_keeps_earlier_output(self, workdir, capsys):
-        good = serialize_lattice(long_lattice(3))
+        good = lattice_line(long_lattice(3))
         lat = workdir / "bad.jsonl"
-        lat.write_text(f"{good}\n{{\"id\": \"1\"}}\n{good}\n", encoding="utf-8")
+        lat.write_text(f"{good}{{\"id\": \"1\"}}\n{good}", encoding="utf-8")
         out_file = workdir / "pred.jsonl"
         code, _, err = run(capsys, "decode", "--lattice", str(lat), "--out", str(out_file))
         assert code == 2
@@ -356,11 +357,11 @@ class TestPipeline:
         assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
 
     def test_decode_abort_reports_records_skipped_before_it(self, workdir, capsys):
-        good = serialize_lattice(long_lattice(3))
+        good = lattice_line(long_lattice(3))
         # a position with no candidates: decode_corpus skips the record
-        empty = serialize_lattice(make_lattice("5", "甲", [[]]))
+        empty = lattice_line(make_lattice("5", "甲", [[]]))
         lat = workdir / "bad.jsonl"
-        lat.write_text(f"{good}\n{empty}\n{{\"id\": \"2\"}}\n", encoding="utf-8")
+        lat.write_text(f"{good}{empty}{{\"id\": \"2\"}}\n", encoding="utf-8")
         code, out, err = run(capsys, "decode", "--lattice", str(lat))
         assert code == 2
         summary, skipped, error = err.splitlines()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from udspell import confusion
 from udspell.confusion import (
     CharConfusion,
     NgramConfusion,
@@ -17,6 +18,8 @@ from udspell.confusion import (
 )
 from udspell.errors import ConfusionError
 from udspell.pinyin import PinyinTable, decompose
+
+from conftest import serve_bundled_text
 
 
 class TestLoadCharConfusion:
@@ -44,6 +47,12 @@ class TestLoadCharConfusion:
     def test_dissimilar_phonetic_dropped_with_table(self, pinyin_table):
         conf = load_char_confusion(["报\tP\t爆,衣"], pinyin_table=pinyin_table)
         assert conf.phonetic["报"] == {"爆"}
+
+    def test_bundled_set_is_split_at_newlines_only(self, monkeypatch):
+        # str.splitlines would also split the comment at U+2028
+        serve_bundled_text(monkeypatch, confusion, "# a\u2028b\n甲\tP\t乙\n")
+        conf = confusion.default_char_confusion(PinyinTable({}))
+        assert conf.phonetic == {"甲": {"乙"}} and conf.morphological == {}
 
     def test_bundled_set_satisfies_similarity(self, char_confusion, pinyin_table):
         for char, cands in char_confusion.phonetic.items():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from udspell.decoder import CorpusDiagnostics, DecodeConfig, decode, decode_corpus
 from udspell.dictionary import UserDictionary
 from udspell.errors import DecodeError
-from udspell.lattice import Candidate, PruneConfig, make_lattice, prune
+from udspell.lattice import PruneConfig, make_lattice, prune
 
 from conftest import NO_PRUNE, VOCAB, argmax_tokens, random_lattice
 from oracle import brute_decode, positions, reference
@@ -18,9 +18,7 @@ EMPTY = UserDictionary(())
 
 
 def lat_of(input_s, rows, lattice_id="t"):
-    return make_lattice(
-        lattice_id, input_s, [[Candidate(t, lp) for t, lp in row] for row in rows]
-    )
+    return make_lattice(lattice_id, input_s, rows)
 
 
 def fig3_lattice():

@@ -11,24 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udspell.decoder import DecodeConfig, decode
+from udspell.decoder import CorpusDiagnostics, DecodeConfig, decode, decode_corpus
 from udspell.dictionary import UserDictionary
 from udspell.errors import DecodeError, LatticeError
 from udspell.confusion import CharConfusion
-from udspell.lattice import (
-    Candidate,
-    Lattice,
-    PruneConfig,
-    candidate_path_count,
-    make_lattice,
-    parse_lattice,
-    prune,
-    serialize_lattice,
-    write_lattices,
-)
+from udspell.lattice import Lattice, PruneConfig, make_lattice, parse_lattice, prune, write_lattices
 from udspell.scorer import ChannelModel, score_sentence, train
 
-from conftest import NO_PRUNE, argmax_tokens, random_lattice
+from conftest import NO_PRUNE, argmax_tokens, lattice_line, random_lattice
 from oracle import reference
 
 
@@ -75,11 +65,12 @@ class TestCandidate:
             make_lattice("x", "a", [[("a", lp)]])
         assert_rejected("a", [[("a", lp)]])
 
-    def test_fields_and_unpacking(self):
-        assert Candidate("a", -1.0) == ("a", -1.0)
-        (cand,) = make_lattice("x", "a", [[Candidate("a", -1.0)]]).positions[0]
-        token, logp = cand
-        assert (token, logp) == ("a", -1.0)
+    @pytest.mark.parametrize("lp", [-(10**400), Fraction(-(10**400))], ids=["int", "Fraction"])
+    def test_rejects_logp_beyond_float_range(self, lp):
+        """A logp with no nearest float is a LatticeError, not an OverflowError."""
+        with pytest.raises(LatticeError, match="lattice 'x': logp out of float range"):
+            make_lattice("x", "a", [[("a", lp)]])
+        assert_rejected("a", [[("a", int(lp))]])  # a JSON file spells either as this int
 
 
 class TestLatticeInvariants:
@@ -95,94 +86,6 @@ class TestLatticeInvariants:
         (parsed,) = parse_lattice([record("a", rows)])
         assert built == parsed
         assert built.positions == ((("b", -1.0), ("a", -2.0)),)
-
-
-TOKENS = st.characters(blacklist_categories=("Cs",))
-
-
-@st.composite
-def lattices(draw):
-    n = draw(st.integers(0, 6))
-    rows = [
-        draw(
-            st.lists(
-                st.tuples(TOKENS, st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
-                max_size=4,
-                unique_by=lambda p: p[0],
-            )
-        )
-        for _ in range(n)
-    ]
-    input_s = "".join(draw(st.lists(TOKENS, min_size=n, max_size=n)))
-    return make_lattice(draw(st.text(TOKENS, max_size=4)), input_s, rows)
-
-
-class TestParseSerialize:
-    def test_structural_echo(self):
-        rec = '{"id":"r","input":"abc","positions":[[{"t":"a","lp":-0.1},{"t":"x","lp":-2.0}],[{"t":"b","lp":-0.2},{"t":"y","lp":-2.0}],[{"t":"c","lp":-0.3},{"t":"z","lp":-2.0}]]}'
-        (lat,) = parse_lattice(io.StringIO(rec + "\n"))
-        assert len(lat) == 3
-        assert all(len(p) == 2 for p in lat.positions)
-
-    def test_empty_stream(self):
-        assert list(parse_lattice(io.StringIO(""))) == []
-
-    def test_structural_error_names_record(self):
-        rec = '{"id":"r","input":"abc","positions":[[{"t":"a","lp":-0.1}],[{"t":"b","lp":-0.2}]]}'
-        with pytest.raises(LatticeError, match="record 0"):
-            list(parse_lattice(io.StringIO(rec + "\n")))
-
-    def test_malformed_json_names_record(self):
-        with pytest.raises(LatticeError, match="record 1"):
-            list(parse_lattice(io.StringIO('{"id":"a","input":"","positions":[]}\n{nope\n')))
-
-    def test_roundtrip_identity(self):
-        rng = random.Random(1)
-        for i in range(50):
-            lat = random_lattice(rng, lattice_id=str(i))
-            line = serialize_lattice(lat)
-            (back,) = parse_lattice([line])
-            assert serialize_lattice(back) == line
-            assert back == lat
-
-    @given(lattices())
-    @settings(max_examples=200, deadline=None)
-    def test_roundtrip_property(self, lat):
-        line = serialize_lattice(lat)
-        (back,) = parse_lattice([line])
-        assert back == lat
-        assert serialize_lattice(back) == line
-
-    def test_canonicalization_sorts_ties_by_codepoint(self):
-        lat = make_lattice("t", "a", [[("b", -1.0), ("a", -1.0)]])
-        assert [t for t, _ in lat.positions[0]] == ["a", "b"]
-
-    @pytest.mark.parametrize(
-        "lp",
-        ["false", "true", "null", '"-0.5"', '" -1e0 "', "[]", pytest.param("-" + "9" * 400, id="-9e399")],
-    )
-    def test_logp_that_is_not_a_float_or_int_names_record(self, lp):
-        rec = '{"id":"r","input":"a","positions":[[{"t":"a","lp":%s}]]}' % lp
-        with pytest.raises(LatticeError, match="record 0"):
-            list(parse_lattice([rec]))
-
-    @pytest.mark.parametrize("lp,want", [("-3", -3.0), ("0", 0.0), ("-0", 0.0)])
-    def test_int_logp_is_read_as_a_float(self, lp, want):
-        """JSON ints parse as floats, so a record reads back in its float form."""
-        (lat,) = parse_lattice(['{"id":"r","input":"a","positions":[[{"t":"a","lp":%s}]]}' % lp])
-        assert type(lat.positions[0][0][1]) is float
-        assert repr(lat.positions[0][0][1]) == repr(want)
-
-
-def dict_form(lat):
-    """The record as json.dumps writes its dict form: serialize_lattice's
-    output before it assembled the text itself."""
-    obj = {
-        "id": lat.id,
-        "input": lat.input,
-        "positions": [[{"t": t, "lp": lp} for t, lp in pos] for pos in lat.positions],
-    }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
 class FloatLogp(float):
@@ -215,22 +118,93 @@ ANY_LOGP = st.one_of(
 
 
 @st.composite
-def any_lattices(draw):
+def any_lattices(draw, ids=st.one_of(st.text(ANY_TOKEN, max_size=4), st.integers())):
     n = draw(st.integers(0, 5))
     rows = [
         draw(st.lists(st.tuples(ANY_TOKEN, ANY_LOGP), max_size=4, unique_by=lambda p: p[0]))
         for _ in range(n)
     ]
     input_s = draw(st.text(st.characters(), min_size=n, max_size=n))
-    lattice_id = draw(st.one_of(st.text(ANY_TOKEN, max_size=4), st.integers()))
-    return make_lattice(lattice_id, input_s, rows)
+    return make_lattice(draw(ids), input_s, rows)
+
+
+class TestParseSerialize:
+    def test_structural_echo(self):
+        rec = '{"id":"r","input":"abc","positions":[[{"t":"a","lp":-0.1},{"t":"x","lp":-2.0}],[{"t":"b","lp":-0.2},{"t":"y","lp":-2.0}],[{"t":"c","lp":-0.3},{"t":"z","lp":-2.0}]]}'
+        (lat,) = parse_lattice(io.StringIO(rec + "\n"))
+        assert len(lat.positions) == 3
+        assert all(len(p) == 2 for p in lat.positions)
+
+    def test_empty_stream(self):
+        assert list(parse_lattice(io.StringIO(""))) == []
+
+    def test_structural_error_names_record(self):
+        rec = '{"id":"r","input":"abc","positions":[[{"t":"a","lp":-0.1}],[{"t":"b","lp":-0.2}]]}'
+        with pytest.raises(LatticeError, match="record 0"):
+            list(parse_lattice(io.StringIO(rec + "\n")))
+
+    def test_malformed_json_names_record(self):
+        with pytest.raises(LatticeError, match="record 1"):
+            list(parse_lattice(io.StringIO('{"id":"a","input":"","positions":[]}\n{nope\n')))
+
+    def test_roundtrip_identity(self):
+        rng = random.Random(1)
+        for i in range(50):
+            lat = random_lattice(rng, lattice_id=str(i))
+            line = lattice_line(lat)
+            (back,) = parse_lattice([line])
+            assert lattice_line(back) == line
+            assert back == lat
+
+    # an int id is written as a JSON int and read back as its str
+    @given(any_lattices(ids=st.text(ANY_TOKEN, max_size=4)))
+    @settings(max_examples=300, deadline=None)
+    def test_roundtrip_property(self, lat):
+        """Every accepted logp is stored as a float, so a written lattice reads
+        back exactly, whatever number type built it."""
+        assert all(type(lp) is float for pos in lat.positions for _, lp in pos)
+        line = lattice_line(lat)
+        (back,) = parse_lattice([line])
+        assert back == lat
+        assert lattice_line(back) == line
+
+    def test_canonicalization_sorts_ties_by_codepoint(self):
+        lat = make_lattice("t", "a", [[("b", -1.0), ("a", -1.0)]])
+        assert [t for t, _ in lat.positions[0]] == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "lp",
+        ["false", "true", "null", '"-0.5"', '" -1e0 "', "[]", pytest.param("-" + "9" * 400, id="-9e399")],
+    )
+    def test_logp_that_is_not_a_float_or_int_names_record(self, lp):
+        rec = '{"id":"r","input":"a","positions":[[{"t":"a","lp":%s}]]}' % lp
+        with pytest.raises(LatticeError, match="record 0"):
+            list(parse_lattice([rec]))
+
+    @pytest.mark.parametrize("lp,want", [("-3", -3.0), ("0", 0.0), ("-0", 0.0)])
+    def test_int_logp_is_read_as_a_float(self, lp, want):
+        """JSON ints parse as floats, so a record reads back in its float form."""
+        (lat,) = parse_lattice(['{"id":"r","input":"a","positions":[[{"t":"a","lp":%s}]]}' % lp])
+        assert type(lat.positions[0][0][1]) is float
+        assert repr(lat.positions[0][0][1]) == repr(want)
+
+
+def dict_form(lat):
+    """The record as json.dumps writes its dict form: the writer's output
+    before it assembled the text itself."""
+    obj = {
+        "id": lat.id,
+        "input": lat.input,
+        "positions": [[{"t": t, "lp": lp} for t, lp in pos] for pos in lat.positions],
+    }
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
 class TestWriter:
     @given(any_lattices())
     @settings(max_examples=300, deadline=None)
     def test_serialize_matches_json_dumps(self, lat):
-        assert serialize_lattice(lat) == dict_form(lat)
+        assert lattice_line(lat) == dict_form(lat) + "\n"
 
     @given(st.lists(any_lattices(), max_size=4))
     @settings(max_examples=100, deadline=None)
@@ -239,10 +213,10 @@ class TestWriter:
         write_lattices(lats, buf)
         assert buf.getvalue() == "".join(dict_form(lat) + "\n" for lat in lats)
 
-    def test_int_logp_is_written_as_an_int(self):
+    def test_int_logp_is_written_as_a_float(self):
         lat = make_lattice("x", "a", [[("a", 0), ("b", IntLogp.MINUS_THREE)]])
-        want = '{"id":"x","input":"a","positions":[[{"t":"a","lp":0},{"t":"b","lp":-3}]]}'
-        assert serialize_lattice(lat) == want
+        want = '{"id":"x","input":"a","positions":[[{"t":"a","lp":0.0},{"t":"b","lp":-3.0}]]}\n'
+        assert lattice_line(lat) == want
 
 
 class TestCanonicalOrder:
@@ -259,16 +233,16 @@ class TestCanonicalOrder:
         want = make_lattice("x", "a", [canonical])
         got = make_lattice("x", "a", [shuffled])
         assert got.positions == want.positions == (tuple(canonical),)
-        assert serialize_lattice(got) == serialize_lattice(want)
+        assert lattice_line(got) == lattice_line(want)
 
 
 class TestRepresentation:
     def test_positions_hold_exact_tuples(self):
-        """Lattices store plain (token, logp) tuples, which the decoder unpacks
-        faster than Candidate; every way of building one keeps to that."""
-        rows = [[Candidate("a", -2.0), ["b", -1.0]], [("c", -0.0001), ("d", -3.0)], [("e", -12.0)]]
+        """Lattices store plain (str, float) tuples, which the decoder unpacks
+        fast; every way of building one keeps to that."""
+        rows = [[["a", -2], ("b", -1.0)], [("c", -0.0001), ("d", Fraction(-3))], [("e", -12.0)]]
         built = make_lattice("x", "abc", rows)
-        (parsed,) = parse_lattice([serialize_lattice(built)])
+        (parsed,) = parse_lattice([lattice_line(built)])
         cc = CharConfusion()
         cc.phonetic["乙"] = {"丁", "丙"}
         scored = score_sentence("甲乙", train(["甲乙丙", "甲丁"]), ChannelModel(cc))
@@ -279,7 +253,7 @@ class TestRepresentation:
                 assert type(pos) is tuple
                 for cand in pos:
                     assert type(cand) is tuple and len(cand) == 2
-                    assert type(cand[0]) is str and type(cand[1]) in (float, int)
+                    assert type(cand[0]) is str and type(cand[1]) is float
         assert len(scored.positions[1]) == 3
 
 
@@ -395,16 +369,24 @@ class TestGreedyPath:
 
 
 class TestPathCount:
+    """decode_corpus counts each lattice's paths after pruning, exactly."""
+
+    @staticmethod
+    def total_paths(lat, prune_cfg=NO_PRUNE):
+        diag = CorpusDiagnostics()
+        list(decode_corpus([lat], UserDictionary(()), DecodeConfig(prune=prune_cfg), diag))
+        return diag.total_paths
+
     def test_unpruned_is_k_to_the_n(self):
         lat = lat_of(
             "abc",
             [[("a", -1.0), ("x", -2.0)], [("b", -1.0), ("y", -2.0)], [("c", -1.0), ("z", -2.0)]],
         )
-        assert candidate_path_count(lat) == 8
+        assert self.total_paths(lat) == 8
 
     def test_fully_fixed_is_one(self):
         lat = lat_of("ab", [[("a", -0.0001), ("x", -2.0)], [("b", -0.0001)]])
-        assert candidate_path_count(prune(lat, PruneConfig())) == 1
+        assert self.total_paths(lat, PruneConfig()) == 1
 
     def test_known_product(self):
         lat = lat_of(
@@ -415,4 +397,4 @@ class TestPathCount:
                 [("c", -1.0), ("z", -2.0)],
             ],
         )
-        assert candidate_path_count(lat) == 12
+        assert self.total_paths(lat) == 12

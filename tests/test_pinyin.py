@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from udspell import pinyin
 from udspell.errors import PinyinError
 from udspell.pinyin import (
     FINALS,
@@ -18,6 +19,8 @@ from udspell.pinyin import (
     load_pinyin_table,
     phonetic_similar,
 )
+
+from conftest import serve_bundled_text
 
 
 def bundled_chars():
@@ -230,6 +233,12 @@ class TestPinyinTable:
                 assert syl.initial + syl.final + str(syl.tone) == syl.integral
                 assert syl.initial in INITIALS or syl.initial == ""
                 assert syl.final in FINALS
+
+    def test_bundled_table_is_split_at_newlines_only(self, monkeypatch):
+        # str.splitlines would also split the comment at U+2028
+        serve_bundled_text(monkeypatch, pinyin, "# a\u2028b\n甲\tjia3\n")
+        table = pinyin.default_table()
+        assert len(table) == 1 and table.readings("甲")[0].integral == "jia3"
 
     def test_distinct_syllables_decoded_once(self):
         table = load_pinyin_table(["插\tcha1", "叉\tcha1,cha3", "擦\tca1"])
