@@ -31,9 +31,9 @@ def main():
 
     print("building fragment confusion sets from the corpus ...")
     ngrams = build_ngram_confusion(CORPUS, pinyin, min_count=2)
-    print(f"  {len(ngrams.entries)} fragments paired, e.g.:")
-    for frag in sorted(ngrams.entries)[:4]:
-        print(f"    {frag} <-> {', '.join(sorted(ngrams.entries[frag]))}")
+    print(f"  {len(ngrams)} fragments paired, e.g.:")
+    for frag in sorted(ngrams)[:4]:
+        print(f"    {frag} <-> {', '.join(sorted(ngrams[frag]))}")
     print()
 
     cfg = EcmConfig(seed=2024)

@@ -18,7 +18,7 @@ from udspell import (
     sentence_metrics,
     train,
 )
-from udspell.confusion import NgramConfusion, default_char_confusion
+from udspell.confusion import default_char_confusion
 from udspell.pinyin import default_table
 from udspell.scorer import score_sentence
 
@@ -45,7 +45,7 @@ def main():
 
     print("corrupting the corpus ...")
     cfg = EcmConfig(p_pronunciation=0.6, p_shape=0.0, p_random=0.2, p_unchanged=0.2, seed=5)
-    records = list(generate_corpus(CLEAN, chars, NgramConfusion(), cfg))
+    records = list(generate_corpus(CLEAN, chars, {}, cfg))
     n_errors = sum(r.source != r.target for r in records)
     print(f"  {n_errors}/{len(records)} sentences got errors\n")
 

@@ -9,7 +9,6 @@ noisy-channel scorer so the whole loop runs without a neural model.
 
 from .confusion import (
     CharConfusion,
-    NgramConfusion,
     build_ngram_confusion,
     load_char_confusion,
 )
@@ -19,7 +18,7 @@ from .ecm import CorruptionRecord, EcmConfig, generate_corpus
 from .errors import UdspellError
 from .evaluate import EvalRecord, dataset_stats, sentence_metrics
 from .lattice import Lattice, PruneConfig, make_lattice, parse_lattice, prune
-from .pinyin import PinyinSyllable, PinyinTable, decompose, phonetic_similar
+from .pinyin import PinyinSyllable, PinyinTable, decompose
 from .scorer import ChannelModel, NgramModel, score_sentence, train
 
 __version__ = "0.1.0"
@@ -34,7 +33,6 @@ __all__ = [
     "EcmConfig",
     "EvalRecord",
     "Lattice",
-    "NgramConfusion",
     "NgramModel",
     "PinyinSyllable",
     "PinyinTable",
@@ -52,7 +50,6 @@ __all__ = [
     "load_dictionary",
     "make_lattice",
     "parse_lattice",
-    "phonetic_similar",
     "prune",
     "score_sentence",
     "sentence_metrics",

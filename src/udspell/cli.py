@@ -165,10 +165,9 @@ def _cmd_gen_corpus(args, out: IO[str]) -> None:
     char_conf = confusion_mod.load_char_confusion(
         _read_table(args.char_confusion), pinyin_table=pinyin
     )
+    ngram = {}
     if args.ngram_confusion is not None:
         ngram = confusion_mod.load_ngram_confusion(_read_table(args.ngram_confusion))
-    else:
-        ngram = confusion_mod.NgramConfusion()
     cfg = ecm_mod.EcmConfig(
         p_pronunciation=args.p_pronunciation,
         p_shape=args.p_shape,

@@ -3,7 +3,7 @@ fragment-level (2-4 char) confusion set built from a corpus.
 
 The fragment set is built in one pass over the frequent 2/3/4-grams of the
 corpus: grams that share a tone-less (optionally fuzzy) pinyin key tuple are
-paired. Entries are inserted symmetrically.
+paired. It is a plain dict, fragment -> same-length candidates, symmetric.
 """
 from __future__ import annotations
 
@@ -116,32 +116,19 @@ def default_char_confusion(pinyin_table: PinyinTable) -> CharConfusion:
     return load_char_confusion(text.split("\n"), pinyin_table=pinyin_table)
 
 
-@dataclass
-class NgramConfusion:
-    """Fragment (2-4 chars) to same-length candidate fragments."""
-
-    entries: dict[str, set[str]] = field(default_factory=dict)
-
-    def add_pair(self, a: str, b: str) -> None:
-        if a == b or len(a) != len(b):
-            raise ConfusionError(f"bad confusion pair {a!r}/{b!r}")
-        self.entries.setdefault(a, set()).add(b)
-        self.entries.setdefault(b, set()).add(a)
+def save_ngram_confusion(conf: dict[str, set[str]], fh: IO[str]) -> None:
+    for frag in sorted(conf):
+        fh.write(f"{frag}\t{','.join(sorted(conf[frag]))}\n")
 
 
-def save_ngram_confusion(conf: NgramConfusion, fh: IO[str]) -> None:
-    for frag in sorted(conf.entries):
-        fh.write(f"{frag}\t{','.join(sorted(conf.entries[frag]))}\n")
-
-
-def load_ngram_confusion(stream: Iterable[str] | IO[str]) -> NgramConfusion:
-    conf = NgramConfusion()
+def load_ngram_confusion(stream: Iterable[str] | IO[str]) -> dict[str, set[str]]:
+    conf: dict[str, set[str]] = {}
     for ln, (frag, cands) in table_rows(stream, 2, ConfusionError, "n-gram confusion entry"):
         for c in cands.split(","):
             if c and c != frag:
                 if len(c) != len(frag):
                     raise ConfusionError(f"line {ln}: length mismatch {frag!r}/{c!r}")
-                conf.entries.setdefault(frag, set()).add(c)
+                conf.setdefault(frag, set()).add(c)
     return conf
 
 
@@ -165,8 +152,9 @@ def build_ngram_confusion(
     pinyin: PinyinTable,
     min_count: int = 5,
     fuzzy: bool = True,
-) -> NgramConfusion:
-    """Build the fragment confusion set from a sentence corpus.
+) -> dict[str, set[str]]:
+    """Build the fragment confusion set, fragment -> same-length candidates,
+    from a sentence corpus.
 
     The 2/3/4-grams occurring at least ``min_count`` times are paired when
     they share a pinyin key tuple, which makes every pair the same length
@@ -194,10 +182,11 @@ def build_ngram_confusion(
             skipped += 1
         for key in keys:
             buckets.setdefault(key, []).append(gram)
-    conf = NgramConfusion()
+    conf: dict[str, set[str]] = {}
     for members in buckets.values():
-        for a, b in combinations(members, 2):
-            conf.add_pair(a, b)
+        for a, b in combinations(members, 2):  # distinct grams of one length
+            conf.setdefault(a, set()).add(b)
+            conf.setdefault(b, set()).add(a)
 
     if skipped:
         logger.warning(

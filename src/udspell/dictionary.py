@@ -56,10 +56,8 @@ class UserDictionary:
             state = queue.popleft()
             for ch, child in self._goto[state].items():
                 queue.append(child)
-                f = self._fail[state]
-                while f and ch not in self._goto[f]:
-                    f = self._fail[f]
-                self._fail[child] = self._goto[f].get(ch, 0)
+                # step reads only links of states no deeper than state, all set by now
+                self._fail[child] = self.step(self._fail[state], ch)
                 self.ends[child] += self.ends[self._fail[child]]
 
     def __len__(self) -> int:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
-from .confusion import NGRAM_LENGTHS, CharConfusion, NgramConfusion, is_chinese_char
+from .confusion import NGRAM_LENGTHS, CharConfusion, is_chinese_char
 from .errors import EcmError
 
 ERROR_TYPES = ("pronunciation", "shape", "random", "unchanged")
@@ -90,7 +90,7 @@ def _edit_sites(sentence: str) -> list[int]:
 def _corrupt(
     sentence: str,
     char_conf: CharConfusion,
-    ngram_conf: NgramConfusion,
+    ngram_conf: dict[str, set[str]],
     cfg: EcmConfig,
     rng: random.Random,
     inventory: Sequence[str],
@@ -134,13 +134,13 @@ def _corrupt(
                 for ln in NGRAM_LENGTHS
                 if ln <= want - spent
                 and pos + ln <= len(sentence)
-                and ngram_conf.entries.get(sentence[pos : pos + ln])
+                and ngram_conf.get(sentence[pos : pos + ln])
                 and all(is_chinese_char(sentence[i]) and i not in used for i in range(pos, pos + ln))
             ]
             if frag_lens and rng.random() < 0.5:
                 ln = rng.choice(frag_lens)
                 frag = sentence[pos : pos + ln]
-                repl = rng.choice(sorted(ngram_conf.entries[frag]))
+                repl = rng.choice(sorted(ngram_conf[frag]))
                 chars[pos : pos + ln] = list(repl)
                 used.update(range(pos, pos + ln))
                 edits.append(Edit(pos, frag, repl))
@@ -178,7 +178,7 @@ def _sentence_rng(seed: int, index: int) -> random.Random:
 def generate_corpus(
     corpus: Iterable[str],
     char_conf: CharConfusion,
-    ngram_conf: NgramConfusion,
+    ngram_conf: dict[str, set[str]],
     cfg: EcmConfig,
 ) -> Iterator[CorruptionRecord]:
     """One corruption record per sentence, reproducible for a fixed seed.

@@ -74,9 +74,11 @@ def _plain_logp(id: str, lp) -> float:
 def make_lattice(id: str, input: str, positions: Iterable[Iterable[tuple[str, float]]]) -> Lattice:
     """Check and build a lattice from per-position ``(token, logp)`` pairs, each
     position in canonical order. LatticeError names the first violation of: a str
-    input, one character per token, a logp that is a number but not a bool, in
-    float range, finite and <= 0, unique tokens per position, and one position
-    per input character."""
+    id and a str input, one character per token, a logp that is a number but not
+    a bool, in float range, finite and <= 0, unique tokens per position, and one
+    position per input character."""
+    if not isinstance(id, str):
+        raise LatticeError(f"lattice {id!r}: id must be a string, got {type(id).__name__}")
     if not isinstance(input, str):
         raise LatticeError(f"lattice {id!r}: input must be a string, got {type(input).__name__}")
     canon = []
@@ -118,7 +120,9 @@ def parse_lattice(stream: Iterable[str] | IO[str]) -> Iterator[Lattice]:
         try:
             obj = json.loads(line)
             positions = [[(c["t"], c["lp"]) for c in pos] for pos in obj["positions"]]
-            yield make_lattice(str(obj["id"]), obj["input"], positions)
+            # a JSON number id is read as its text; make_lattice refuses other non-strings
+            lat_id = str(obj["id"]) if type(obj["id"]) in (int, float) else obj["id"]
+            yield make_lattice(lat_id, obj["input"], positions)
         except LatticeError as e:
             raise LatticeError(f"record {idx}: {e}") from e
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:

@@ -1,11 +1,14 @@
-"""Pinyin syllable decomposition and phonetic-similarity predicates.
+"""Pinyin syllable decomposition and the one phonetic-similarity rule.
 
 A syllable such as "cha1" splits into an initial ("ch"), a final ("a") and
 a tone digit 1..5 (5 = neutral). The ASCII letter "v" stands for the vowel
-u-umlaut. Two syllables count as phonetically similar when they are equal
-ignoring tone, or when their finals match and their initials fall in the
-same fuzzy group (z/zh, c/ch, s/sh, l/n, f/h) as mainstream pinyin input
-methods treat them.
+u-umlaut. A fuzzy key is the tone-less spelling with the initial collapsed
+to its group of input-method fuzzy initials (z/zh, c/ch, s/sh, l/n, f/h).
+Syllables are phonetically similar iff their keys are equal, characters iff
+a reading of each has the same key. Every final starts with a vowel and no
+initial holds one, so a key splits into (initial, final) one way only: equal
+keys mean the same final and fuzzy-equal initials. A hand-built "z" + "hang"
+keys as "zhang", so it is not similar to "zh" + "ang" (key "zang").
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ FUZZY_GROUPS: tuple[frozenset[str], ...] = (
 
 _FUZZY_REP = {i: min(g) for g in FUZZY_GROUPS for i in g}
 
-# Every valid toneless body, split as (initial, final); a longer initial
+# Every valid tone-less body, split as (initial, final); a longer initial
 # overrides a shorter one, so the longest initial wins.
 _BODIES: dict[str, tuple[str, str]] = {
     ini + fin: (ini, fin) for ini in sorted(("", *INITIALS), key=len) for fin in FINALS
@@ -58,10 +61,6 @@ class PinyinSyllable:
     initial: str
     final: str
     tone: int
-
-    @property
-    def toneless(self) -> str:
-        return self.initial + self.final
 
     def fuzzy_key(self, fuzzy: bool = True) -> str:
         """Tone-less form with the initial collapsed to its fuzzy-group representative."""
@@ -82,14 +81,6 @@ def decompose(integral: str) -> PinyinSyllable:
     return PinyinSyllable(integral=s, initial=split[0], final=split[1], tone=tone)
 
 
-def phonetic_similar(a: PinyinSyllable, b: PinyinSyllable, fuzzy: bool = True) -> bool:
-    """True iff the syllables match ignoring tone, exactly or under fuzzy initials."""
-    if a.final != b.final:  # only a fuzzy match needs equal finals
-        return a.toneless == b.toneless
-    ia, ib = a.initial, b.initial
-    return ia == ib or fuzzy and _FUZZY_REP.get(ia, ia) == _FUZZY_REP.get(ib, ib)
-
-
 class PinyinTable:
     """Immutable character-to-readings map; polyphones keep all readings in file order."""
 
@@ -108,12 +99,12 @@ class PinyinTable:
         except KeyError:
             raise PinyinError(f"character {char!r} not in pinyin table") from None
 
-    def similar(self, a: str, b: str, fuzzy: bool = True) -> bool:
-        """True iff any reading pair of the two characters is phonetically similar."""
+    def similar(self, a: str, b: str) -> bool:
+        """True iff a reading of each character has the same fuzzy key."""
         ra, rb = self._entries.get(a, ()), self._entries.get(b, ())
         if len(ra) == 1 and len(rb) == 1:  # the common case, without a generator
-            return phonetic_similar(ra[0], rb[0], fuzzy)
-        return any(phonetic_similar(x, y, fuzzy) for x in ra for y in rb)
+            return ra[0].fuzzy_key() == rb[0].fuzzy_key()
+        return any(x.fuzzy_key() == y.fuzzy_key() for x in ra for y in rb)
 
 
 def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from udspell.confusion import CharConfusion, NgramConfusion, default_char_confusion
+from udspell.confusion import CharConfusion, default_char_confusion
 from udspell.lattice import PruneConfig, make_lattice, write_lattices
 from udspell.pinyin import default_table
 
@@ -66,9 +66,10 @@ def make_dense_confusion():
     for i, c in enumerate(chars):
         cc.phonetic[c] = {chars[(i + 1) % 30], chars[(i + 2) % 30]}
         cc.morphological[c] = {chars[(i + 3) % 30]}
-    ng = NgramConfusion()
-    ng.add_pair(chars[0] + chars[1], chars[5] + chars[6])
-    ng.add_pair(chars[2] + chars[3] + chars[4], chars[7] + chars[8] + chars[9])
+    # the fragment map holds each pair in both directions
+    two, three = "".join(chars[0:2]), "".join(chars[2:5])
+    pairs = [(two, "".join(chars[5:7])), (three, "".join(chars[7:10]))]
+    ng = {a: {b} for a, b in pairs} | {b: {a} for a, b in pairs}
     return chars, cc, ng
 
 

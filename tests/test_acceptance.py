@@ -14,7 +14,6 @@ from collections import Counter
 
 import pytest
 
-from udspell.confusion import NgramConfusion
 from udspell.decoder import DecodeConfig, decode
 from udspell.dictionary import UserDictionary
 from udspell.ecm import EcmConfig, generate_corpus
@@ -138,7 +137,7 @@ def test_criterion_6_confusion_soundness(capsys, ecm_sample):
             if len(e.orig) == 1:
                 bad += e.repl not in cc.phonetic.get(e.orig, set())
             else:
-                bad += e.repl not in ng.entries.get(e.orig, set())
+                bad += e.repl not in ng.get(e.orig, set())
     ok = checked > 0 and bad == 0
     report(capsys, 6, ok, f"all {checked} pronunciation replacements found in their confusion sets")
 

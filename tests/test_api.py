@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "EcmConfig",
     "EvalRecord",
     "Lattice",
-    "NgramConfusion",
     "NgramModel",
     "PinyinSyllable",
     "PinyinTable",
@@ -35,7 +34,6 @@ PUBLIC_NAMES = [
     "load_dictionary",
     "make_lattice",
     "parse_lattice",
-    "phonetic_similar",
     "prune",
     "score_sentence",
     "sentence_metrics",

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 from pathlib import Path
@@ -5,7 +7,11 @@ from pathlib import Path
 import pytest
 
 from udspell.cli import build_parser, main
-from udspell.lattice import make_lattice
+from udspell.confusion import build_ngram_confusion
+from udspell.decoder import DecodeConfig
+from udspell.ecm import EcmConfig
+from udspell.lattice import PruneConfig, make_lattice
+from udspell.scorer import ChannelModel, score_sentence, train
 
 from conftest import lattice_line
 from test_decoder import long_lattice
@@ -57,14 +63,40 @@ class TestParser:
             "ideal-dict",
         }
 
-    def test_decode_defaults(self, workdir):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["decode", "--lattice", str(workdir / "corpus.txt")]
+    def test_defaults_equal_library_defaults(self, workdir):
+        """Every option default that restates a library default equals it, as
+        read from the dataclass fields and function signatures."""
+
+        def fields(cls):
+            return {f.name: f.default for f in dataclasses.fields(cls)}
+
+        def params(fn):
+            return {n: p.default for n, p in inspect.signature(fn).parameters.items()}
+
+        f = str(workdir / "corpus.txt")
+        parse = build_parser().parse_args
+
+        args = parse(["decode", "--lattice", f])
+        dec, prune = fields(DecodeConfig), fields(PruneConfig)
+        assert (args.eta, args.asm_mode) == (dec["eta"], dec["asm_count_mode"])
+        assert (args.topk, args.min_logp, args.max_logp) == (
+            prune["k"], prune["min_logp"], prune["max_logp"]
         )
-        assert args.eta == 4.0 and args.topk == 5
-        assert args.min_logp == -11.0 and args.max_logp == -0.001
-        assert args.asm_mode == "covered"
+
+        args = parse(["score", "--model", f, "--char-confusion", f, "--input", f])
+        assert args.topk == params(score_sentence)["k"]
+        assert args.p_keep == fields(ChannelModel)["p_keep"]
+
+        args = parse(["train-scorer", "--corpus", f, "--out", f])
+        assert (args.order, args.alpha) == (params(train)["order"], params(train)["alpha"])
+
+        args = parse(["gen-corpus", "--corpus", f, "--char-confusion", f])
+        ecm = fields(EcmConfig)
+        assert {name: getattr(args, name) for name in ecm} == ecm
+
+        args = parse(["build-confusion", "--corpus", f])
+        build = params(build_ngram_confusion)
+        assert (args.min_count, not args.no_fuzzy) == (build["min_count"], build["fuzzy"])
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from udspell import confusion
 from udspell.confusion import (
     CharConfusion,
-    NgramConfusion,
     build_ngram_confusion,
     chinese_runs,
     load_char_confusion,
@@ -70,27 +69,27 @@ class TestBuildNgram:
     def test_phrase_pair_same_pinyin(self, pinyin_table):
         corpus = ["一年一年", "意念意念"] * 3
         conf = build_ngram_confusion(corpus, pinyin_table, min_count=2)
-        assert "意念" in conf.entries.get("一年", set())
-        assert "一年" in conf.entries.get("意念", set())
+        assert "意念" in conf.get("一年", set())
+        assert "一年" in conf.get("意念", set())
 
     def test_fuzzy_pair_requires_fuzzy(self, pinyin_table):
         corpus = ["四类四类四类", "室内室内室内"]
         fuzzy = build_ngram_confusion(corpus, pinyin_table, min_count=2)
-        assert "室内" in fuzzy.entries.get("四类", set())
+        assert "室内" in fuzzy.get("四类", set())
         exact = build_ngram_confusion(corpus, pinyin_table, min_count=2, fuzzy=False)
-        assert "室内" not in exact.entries.get("四类", set())
+        assert "室内" not in exact.get("四类", set())
 
     def test_tiny_corpus_hand_enumeration(self, pinyin_table):
         # only the bigram pair 一年/意念 is confusable among these grams
         corpus = ["一年好", "一年大", "意念好", "意念大"]
         conf = build_ngram_confusion(corpus, pinyin_table, min_count=2)
-        assert len(conf.entries) == 2
-        assert conf.entries == {"一年": {"意念"}, "意念": {"一年"}}
+        assert len(conf) == 2
+        assert conf == {"一年": {"意念"}, "意念": {"一年"}}
 
     def test_candidates_keep_fragment_length(self, pinyin_table):
         corpus = ["一年好", "一年大", "意念好", "意念大"]
         conf = build_ngram_confusion(corpus, pinyin_table, min_count=2)
-        for frag, cands in conf.entries.items():
+        for frag, cands in conf.items():
             assert all(len(c) == len(frag) for c in cands)
             assert frag not in cands
 
@@ -98,7 +97,7 @@ class TestBuildNgram:
         corpus = ["一年好", "意念好", "四类大", "室内大"] * 2
         a = build_ngram_confusion(corpus, pinyin_table, min_count=2)
         b = build_ngram_confusion(corpus, pinyin_table, min_count=2)
-        assert a.entries == b.entries
+        assert a == b
 
     def test_empty_corpus_raises(self, pinyin_table):
         with pytest.raises(ConfusionError):
@@ -144,9 +143,13 @@ def reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy)
             return True
         if b in char_conf.phonetic.get(a, ()) or a in char_conf.phonetic.get(b, ()):
             return True
-        return pinyin.similar(a, b, fuzzy=fuzzy)
+        return any(
+            x.fuzzy_key(fuzzy) == y.fuzzy_key(fuzzy)
+            for x in pinyin.readings(a)
+            for y in pinyin.readings(b)
+        )
 
-    conf = NgramConfusion()
+    conf = {}
 
     def pair_bucketed(frags):
         buckets = {}
@@ -157,7 +160,8 @@ def reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy)
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
                     if a != b and all(chars_confusable(x, y) for x, y in zip(a, b)):
-                        conf.add_pair(a, b)
+                        conf.setdefault(a, set()).add(b)
+                        conf.setdefault(b, set()).add(a)
 
     gram_counts = Counter()
     for sent in corpus:
@@ -212,25 +216,23 @@ class TestBuildNgramAgainstReference:
         char_conf = CharConfusion(phonetic=char_sets)
         expected = reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy)
         got = build_ngram_confusion(corpus, pinyin, min_count=min_count, fuzzy=fuzzy)
-        assert got.entries == expected.entries
+        assert got == expected
 
 
 class TestLookup:
     def test_absent_fragment(self):
-        conf = NgramConfusion()
-        conf.add_pair("一年", "意念")
-        assert conf.entries.get("甲乙", set()) == set()
+        conf = load_ngram_confusion(["一年\t意念"])
+        assert conf == {"一年": {"意念"}}
+        assert conf.get("甲乙", set()) == set()
 
 
 class TestNgramSerialization:
     def test_roundtrip(self):
-        conf = NgramConfusion()
-        conf.add_pair("一年", "意念")
-        conf.add_pair("四类", "室内")
+        conf = {"一年": {"意念"}, "意念": {"一年"}, "四类": {"室内"}, "室内": {"四类"}}
         buf = io.StringIO()
         save_ngram_confusion(conf, buf)
         back = load_ngram_confusion(io.StringIO(buf.getvalue()))
-        assert back.entries == conf.entries
+        assert back == conf
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfusionError):

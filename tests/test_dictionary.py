@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udspell.dictionary import (
@@ -101,6 +101,8 @@ class TestRsmSpans:
 
 class TestAutomaton:
     @given(text_strategy, terms_strategy)
+    # the link of 甲乙丙丁 is found two hops away: past 乙丙 to 丙
+    @example("甲乙丙丁", {"甲乙丙丁", "乙丙", "丙丁"})
     @settings(max_examples=200, deadline=None)
     def test_incremental_equals_whole_string(self, text, terms):
         ac = UserDictionary(terms)

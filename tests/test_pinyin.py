@@ -11,13 +11,11 @@ from udspell import pinyin
 from udspell.errors import PinyinError
 from udspell.pinyin import (
     FINALS,
-    FUZZY_GROUPS,
     INITIALS,
     PinyinSyllable,
     PinyinTable,
     decompose,
     load_pinyin_table,
-    phonetic_similar,
 )
 
 from conftest import serve_bundled_text
@@ -158,47 +156,57 @@ class TestRecompose:
             assert syl.initial + syl.final + str(syl.tone) == syl.integral == s.lower()
 
 
+def keys_equal(a, b, fuzzy=True):
+    return a.fuzzy_key(fuzzy) == b.fuzzy_key(fuzzy)
+
+
+def one_reading_table(a, b):
+    """Characters 甲 and 乙 with one reading each."""
+    return PinyinTable({"甲": (decompose(a),), "乙": (decompose(b),)})
+
+
 class TestPhoneticSimilar:
+    """Syllables are similar iff their fuzzy keys are equal."""
+
     def test_fuzzy_initial_pair(self):
-        assert phonetic_similar(decompose("cha1"), decompose("ca1"))
+        assert keys_equal(decompose("cha1"), decompose("ca1"))
 
     def test_reflexive(self):
-        x = decompose("bao4")
-        assert phonetic_similar(x, x)
+        assert one_reading_table("bao4", "yi4").similar("甲", "甲")
 
     def test_unrelated(self):
-        assert not phonetic_similar(decompose("bao4"), decompose("yi4"))
+        assert not keys_equal(decompose("bao4"), decompose("yi4"))
 
     def test_tone_ignored(self):
-        assert phonetic_similar(decompose("jian1"), decompose("jian3"))
+        assert keys_equal(decompose("jian1"), decompose("jian3"))
 
     def test_fuzzy_can_be_disabled(self):
-        assert not phonetic_similar(decompose("cha1"), decompose("ca1"), fuzzy=False)
-        assert phonetic_similar(decompose("jian1"), decompose("jian3"), fuzzy=False)
+        assert not keys_equal(decompose("cha1"), decompose("ca1"), fuzzy=False)
+        assert keys_equal(decompose("jian1"), decompose("jian3"), fuzzy=False)
 
     def test_rl_not_fuzzy(self):
-        assert not phonetic_similar(decompose("ri4"), decompose("li4"))
+        assert not keys_equal(decompose("ri4"), decompose("li4"))
 
     @given(st.sampled_from(all_valid_syllables()), st.sampled_from(all_valid_syllables()))
     @settings(max_examples=300, deadline=None)
     def test_symmetric(self, a, b):
-        sa, sb = decompose(a), decompose(b)
-        assert phonetic_similar(sa, sb) == phonetic_similar(sb, sa)
+        table = one_reading_table(a, b)
+        assert table.similar("甲", "乙") == table.similar("乙", "甲")
 
     @pytest.mark.parametrize("fuzzy", [True, False])
-    def test_equal_fuzzy_key_implies_similar(self, fuzzy):
-        """Fragments are paired on equal keys alone, which relies on this."""
-        by_key = {}
-        for s in all_valid_syllables():
-            for tone in "14":
-                syl = decompose(s[:-1] + tone)
-                by_key.setdefault(syl.fuzzy_key(fuzzy), []).append(syl)
+    def test_reference_equals_key_equality(self, fuzzy):
+        """Over every pair of decomposable tone-less bodies, in different tones,
+        the rule as first written holds exactly when the keys are equal."""
+        bodies = sorted({ini + fin for ini in ("",) + INITIALS for fin in FINALS})
+        first = [decompose(body + "1") for body in bodies]
+        second = [decompose(body + "4") for body in bodies]
+        merged = 0
+        for a in first:
+            for b in second:
+                assert reference_similar(a, b, fuzzy) == keys_equal(a, b, fuzzy), (a, b)
+                merged += keys_equal(a, b, fuzzy) and a.initial != b.initial
         # fuzzy keys merge distinct tone-less spellings; exact keys only tones
-        merged = any(len({syl.toneless for syl in g}) > 1 for g in by_key.values())
-        assert merged == fuzzy
-        for group in by_key.values():
-            for a, b in product(group, group):
-                assert phonetic_similar(a, b, fuzzy), (a, b)
+        assert bool(merged) == fuzzy
 
 
 class TestPinyinTable:
@@ -246,29 +254,46 @@ class TestPinyinTable:
         assert table.readings("叉")[1] == decompose("cha3")
 
 
+# The input-method fuzzy pairs, written out apart from the module's own table.
+REFERENCE_FUZZY_GROUPS = [
+    frozenset(g) for g in ({"z", "zh"}, {"c", "ch"}, {"s", "sh"}, {"l", "n"}, {"f", "h"})
+]
+_REFERENCE_REP = {i: min(g) for g in REFERENCE_FUZZY_GROUPS for i in g}
+
+
+def reference_rep(initial):
+    return _REFERENCE_REP.get(initial, initial)
+
+
+def reference_key(syl):
+    return reference_rep(syl.initial) + syl.final
+
+
 def reference_similar(a, b, fuzzy):
-    """phonetic_similar as first written: tone-less equality, then the fuzzy rule."""
-    if a.toneless == b.toneless:
+    """Syllable similarity as first written: tone-less equality, then equal
+    finals with initials in one fuzzy group."""
+    if a.initial + a.final == b.initial + b.final:
         return True
-    rep = {i: min(g) for g in FUZZY_GROUPS for i in g}
-    return fuzzy and a.final == b.final and rep.get(a.initial, a.initial) == rep.get(
-        b.initial, b.initial
-    )
+    return fuzzy and a.final == b.final and reference_rep(a.initial) == reference_rep(b.initial)
 
 
-def any_pair_similar(ra, rb, fuzzy):
-    return any(phonetic_similar(x, y, fuzzy) for x in ra for y in rb)
+def any_pair_similar(ra, rb):
+    return any(reference_similar(x, y, True) for x in ra for y in rb)
+
+
+def shared_key(ra, rb):
+    return bool({reference_key(x) for x in ra} & {reference_key(y) for y in rb})
 
 
 class TestTableSimilar:
-    """``PinyinTable.similar`` equals the any-reading-pair ``phonetic_similar``."""
+    """``PinyinTable.similar`` equals the any-reading-pair rule as first written
+    on decomposed readings, and a shared reference key on any readings."""
 
-    @pytest.mark.parametrize("fuzzy", [True, False])
-    def test_every_bundled_pair(self, pinyin_table, fuzzy):
+    def test_every_bundled_pair(self, pinyin_table):
         chars = bundled_chars()
         for a, b in product(chars, chars):
-            expected = any_pair_similar(pinyin_table.readings(a), pinyin_table.readings(b), fuzzy)
-            assert pinyin_table.similar(a, b, fuzzy) == expected, (a, b)
+            expected = any_pair_similar(pinyin_table.readings(a), pinyin_table.readings(b))
+            assert pinyin_table.similar(a, b) == expected, (a, b)
 
     def test_missing_char_is_not_similar(self):
         table = load_pinyin_table(["插\tcha1"])
@@ -276,7 +301,8 @@ class TestTableSimilar:
         assert not table.similar("擦", "擦")
 
     # hand-built syllables may split one tone-less spelling two ways
-    # ("z" + "hang" against "zh" + "ang"), which decompose never does
+    # ("z" + "hang" against "zh" + "ang"), which decompose never does; they
+    # key by their own parts
     hand_built = st.builds(
         PinyinSyllable,
         integral=st.just("x1"),
@@ -288,15 +314,33 @@ class TestTableSimilar:
     @given(
         st.lists(hand_built, min_size=1, max_size=3),
         st.lists(hand_built, min_size=1, max_size=3),
-        st.booleans(),
     )
-    @example([PinyinSyllable("x1", "z", "hang", 1)], [PinyinSyllable("x2", "zh", "ang", 2)], False)
-    @example([PinyinSyllable("x1", "c", "ha", 1)], [PinyinSyllable("x2", "ch", "a", 2)], True)
-    @example([PinyinSyllable("x1", "z", "hang", 1)], [PinyinSyllable("x2", "z", "ang", 2)], True)
+    @example([PinyinSyllable("x1", "z", "hang", 1)], [PinyinSyllable("x2", "zh", "ang", 2)])
+    @example([PinyinSyllable("x1", "c", "ha", 1)], [PinyinSyllable("x2", "ch", "a", 2)])
+    @example([PinyinSyllable("x1", "z", "hang", 1)], [PinyinSyllable("x2", "z", "ang", 2)])
     @settings(max_examples=500, deadline=None)
-    def test_hand_built_readings(self, ra, rb, fuzzy):
+    def test_hand_built_readings(self, ra, rb):
         table = PinyinTable({"甲": tuple(ra), "乙": tuple(rb)})
-        assert table.similar("甲", "乙", fuzzy) == any_pair_similar(ra, rb, fuzzy)
-        assert table.similar("乙", "甲", fuzzy) == any_pair_similar(rb, ra, fuzzy)
-        for x, y in product(ra, rb):
-            assert phonetic_similar(x, y, fuzzy) == reference_similar(x, y, fuzzy)
+        assert table.similar("甲", "乙") == shared_key(ra, rb)
+        assert table.similar("乙", "甲") == shared_key(rb, ra)
+
+    @pytest.mark.parametrize(
+        "ra, rb, expected",
+        [
+            # "z+hang" keys as "zhang", "zh+ang" and "z+ang" as "zang",
+            # "c+ha" as "cha" and "ch+a" as "ca"
+            ("z+hang", "zh+ang", False),
+            ("c+ha", "ch+a", False),
+            ("z+hang", "z+ang", False),
+            ("zh+ang", "z+ang", True),
+            ("z+hang,z+ang", "zh+ang", True),
+        ],
+    )
+    def test_hand_built_examples(self, ra, rb, expected):
+        """Readings given as initial+final, comma-separated."""
+
+        def readings(spec):
+            return tuple(PinyinSyllable("x1", *r.split("+"), 1) for r in spec.split(","))
+
+        table = PinyinTable({"甲": readings(ra), "乙": readings(rb)})
+        assert table.similar("甲", "乙") == table.similar("乙", "甲") == expected

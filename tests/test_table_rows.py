@@ -17,7 +17,7 @@ LOADERS = [
         "报\tP\t抱",
         lambda c: len(c.phonetic),
     ),
-    (load_ngram_confusion, "一年\t意念", lambda c: len(c.entries)),
+    (load_ngram_confusion, "一年\t意念", len),
     (load_pinyin_table, "插\tcha1", len),
     (read_eval_records, "1\t甲乙\t甲丙\t甲丙", len),
     (read_dataset, "1\t甲乙\t甲丙", len),
