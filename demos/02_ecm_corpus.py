@@ -8,7 +8,6 @@ randomness, so a speller trained on the output sees realistic mistakes.
 
 Run:  python3 demos/02_ecm_corpus.py
 """
-import random
 from collections import Counter
 
 from udspell import EcmConfig, build_ngram_confusion, generate_corpus

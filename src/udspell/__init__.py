@@ -18,7 +18,7 @@ from .ecm import CorruptionRecord, EcmConfig, generate_corpus
 from .errors import UdspellError
 from .evaluate import EvalRecord, dataset_stats, sentence_metrics
 from .lattice import Lattice, PruneConfig, make_lattice, parse_lattice, prune
-from .pinyin import PinyinSyllable, PinyinTable, decompose
+from .pinyin import PinyinTable
 from .scorer import ChannelModel, NgramModel, score_sentence, train
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "EvalRecord",
     "Lattice",
     "NgramModel",
-    "PinyinSyllable",
     "PinyinTable",
     "PruneConfig",
     "UdspellError",
@@ -44,7 +43,6 @@ __all__ = [
     "dataset_stats",
     "decode",
     "decode_corpus",
-    "decompose",
     "generate_corpus",
     "load_char_confusion",
     "load_dictionary",

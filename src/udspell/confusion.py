@@ -8,6 +8,7 @@ paired. It is a plain dict, fragment -> same-length candidates, symmetric.
 from __future__ import annotations
 
 import logging
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -23,6 +24,7 @@ NGRAM_LENGTHS = (2, 3, 4)
 MAX_FRAGMENT_KEYS = 16  # reading combinations kept per fragment
 
 _CJK_RANGE = ("一", "鿿")
+_CJK_RUNS = re.compile(f"[{_CJK_RANGE[0]}-{_CJK_RANGE[1]}]+")
 
 
 def is_chinese_char(c: str) -> bool:
@@ -31,16 +33,7 @@ def is_chinese_char(c: str) -> bool:
 
 def chinese_runs(sentence: str) -> list[str]:
     """Maximal runs of consecutive Chinese characters in a sentence."""
-    runs, cur = [], []
-    for c in sentence:
-        if is_chinese_char(c):
-            cur.append(c)
-        elif cur:
-            runs.append("".join(cur))
-            cur = []
-    if cur:
-        runs.append("".join(cur))
-    return runs
+    return _CJK_RUNS.findall(sentence)
 
 
 @dataclass
@@ -143,7 +136,7 @@ def _fragment_keys(frag: str, pinyin: PinyinTable, fuzzy: bool) -> list[tuple[st
     for c in frag:
         if c not in pinyin:
             return []
-        per_char.append(sorted({r.fuzzy_key(fuzzy) for r in pinyin.readings(c)}))
+        per_char.append(sorted(pinyin.keys(c, fuzzy)))
     return list(islice(product(*per_char), MAX_FRAGMENT_KEYS))
 
 

@@ -1,18 +1,17 @@
-"""Pinyin syllable decomposition and the one phonetic-similarity rule.
+"""Tone-less pinyin readings and the one phonetic-similarity rule.
 
-A syllable such as "cha1" splits into an initial ("ch"), a final ("a") and
-a tone digit 1..5 (5 = neutral). The ASCII letter "v" stands for the vowel
-u-umlaut. A fuzzy key is the tone-less spelling with the initial collapsed
-to its group of input-method fuzzy initials (z/zh, c/ch, s/sh, l/n, f/h).
-Syllables are phonetically similar iff their keys are equal, characters iff
-a reading of each has the same key. Every final starts with a vowel and no
-initial holds one, so a key splits into (initial, final) one way only: equal
-keys mean the same final and fuzzy-equal initials. A hand-built "z" + "hang"
-keys as "zhang", so it is not similar to "zh" + "ang" (key "zang").
+A reading is a syllable's tone-less body: "cha1" reads "cha". The tone digit
+1..5 (5 = neutral) is checked and dropped, and the ASCII letter "v" stands
+for the vowel u-umlaut. A body is an initial (possibly empty) followed by a
+final. Every final starts with a vowel and no initial holds one, so a body
+splits into (initial, final) one way only. A fuzzy key is the body with its
+initial collapsed to its group of input-method fuzzy initials (z/zh, c/ch,
+s/sh, l/n, f/h), looked up in ``FUZZY_KEYS``. Syllables are phonetically
+similar iff their keys are equal, characters iff a reading of each has the
+same key: equal keys mean the same final and fuzzy-equal initials.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable
 
@@ -45,46 +44,25 @@ FUZZY_GROUPS: tuple[frozenset[str], ...] = (
 
 _FUZZY_REP = {i: min(g) for g in FUZZY_GROUPS for i in g}
 
-# Every valid tone-less body, split as (initial, final); a longer initial
-# overrides a shorter one, so the longest initial wins.
-_BODIES: dict[str, tuple[str, str]] = {
-    ini + fin: (ini, fin) for ini in sorted(("", *INITIALS), key=len) for fin in FINALS
+# Every valid tone-less body -> its fuzzy key; 24 x 37 = 888 entries.
+FUZZY_KEYS: dict[str, str] = {
+    ini + fin: _FUZZY_REP.get(ini, ini) + fin for ini in ("", *INITIALS) for fin in FINALS
 }
-_TONES = {str(t): t for t in range(1, 6)}
 
 
-@dataclass(frozen=True)
-class PinyinSyllable:
-    """(initial, final, tone) decomposition of one romanized syllable."""
-
-    integral: str
-    initial: str
-    final: str
-    tone: int
-
-    def fuzzy_key(self, fuzzy: bool = True) -> str:
-        """Tone-less form with the initial collapsed to its fuzzy-group representative."""
-        ini = _FUZZY_REP.get(self.initial, self.initial) if fuzzy else self.initial
-        return ini + self.final
-
-
-def decompose(integral: str) -> PinyinSyllable:
-    """Split a tone-digit syllable into (initial, final, tone).
-
-    The initial is matched longest-first against the closed inventory of 23
-    initials; the remainder must be a known final.
-    """
-    s = integral.strip().lower().replace("ü", "v")
-    split, tone = _BODIES.get(s[:-1]), _TONES.get(s[-1:])
-    if split is None or tone is None:
-        raise PinyinError(f"unparseable pinyin syllable {integral!r}")
-    return PinyinSyllable(integral=s, initial=split[0], final=split[1], tone=tone)
+def toneless(syllable: str) -> str:
+    """The tone-less body of a tone-digit syllable ("cha1" -> "cha")."""
+    s = syllable.strip().lower().replace("ü", "v")
+    if s[:-1] not in FUZZY_KEYS or not "1" <= s[-1:] <= "5":
+        raise PinyinError(f"unparseable pinyin syllable {syllable!r}")
+    return s[:-1]
 
 
 class PinyinTable:
-    """Immutable character-to-readings map; polyphones keep all readings in file order."""
+    """Immutable character-to-readings map: each character's distinct tone-less
+    bodies in file order, as ``load_pinyin_table`` or ``toneless`` makes them."""
 
-    def __init__(self, entries: dict[str, tuple[PinyinSyllable, ...]]):
+    def __init__(self, entries: dict[str, tuple[str, ...]]):
         self._entries = dict(entries)
 
     def __contains__(self, char: str) -> bool:
@@ -93,37 +71,38 @@ class PinyinTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def readings(self, char: str) -> tuple[PinyinSyllable, ...]:
-        try:
-            return self._entries[char]
-        except KeyError:
-            raise PinyinError(f"character {char!r} not in pinyin table") from None
+    def keys(self, char: str, fuzzy: bool = True) -> set[str]:
+        """The character's fuzzy keys, or its bodies for ``fuzzy=False``."""
+        bodies = self._entries[char]
+        return {FUZZY_KEYS[b] for b in bodies} if fuzzy else set(bodies)
 
     def similar(self, a: str, b: str) -> bool:
         """True iff a reading of each character has the same fuzzy key."""
         ra, rb = self._entries.get(a, ()), self._entries.get(b, ())
         if len(ra) == 1 and len(rb) == 1:  # the common case, without a generator
-            return ra[0].fuzzy_key() == rb[0].fuzzy_key()
-        return any(x.fuzzy_key() == y.fuzzy_key() for x in ra for y in rb)
+            return FUZZY_KEYS[ra[0]] == FUZZY_KEYS[rb[0]]
+        return any(FUZZY_KEYS[x] == FUZZY_KEYS[y] for x in ra for y in rb)
 
 
 def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:
-    """Load ``char<TAB>syll1,syll2,...`` lines, stripped whole; ``#`` starts a comment."""
-    entries: dict[str, tuple[PinyinSyllable, ...]] = {}
-    decoded: dict[str, PinyinSyllable] = {}  # each distinct syllable string decomposed once
+    """Load ``char<TAB>syll1,syll2,...`` lines, stripped whole; ``#`` starts a
+    comment. A character on several lines keeps the readings of all of them."""
+    entries: dict[str, tuple[str, ...]] = {}
+    bodies: dict[str, str] = {}  # each distinct syllable string checked once
     for ln, (char, sylls) in table_rows(map(str.strip, stream), 2, PinyinError, "pinyin entry"):
         if len(char) != 1:
             raise PinyinError(f"line {ln}: {char!r} is not one character")
         try:
-            entries[char] = tuple(
-                decoded[s] if s in decoded else decoded.setdefault(s, decompose(s))
+            read = [
+                bodies[s] if s in bodies else bodies.setdefault(s, toneless(s))
                 for s in sylls.split(",")
                 if s
-            )
+            ]
         except PinyinError as e:
             raise PinyinError(f"line {ln}: {e}") from e
-        if not entries[char]:
+        if not read:
             raise PinyinError(f"line {ln}: no readings for {char!r}")
+        entries[char] = tuple(dict.fromkeys((*entries.get(char, ()), *read)))
     return PinyinTable(entries)
 
 

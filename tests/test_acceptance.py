@@ -5,7 +5,6 @@ line (visible even under pytest capture). Criteria are deliberately
 stricter than the per-module suites: exact equalities, pinned tolerances
 and wall-clock budgets.
 """
-import io
 import math
 import os
 import random

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "EvalRecord",
     "Lattice",
     "NgramModel",
-    "PinyinSyllable",
     "PinyinTable",
     "PruneConfig",
     "UdspellError",
@@ -28,7 +27,6 @@ PUBLIC_NAMES = [
     "dataset_stats",
     "decode",
     "decode_corpus",
-    "decompose",
     "generate_corpus",
     "load_char_confusion",
     "load_dictionary",
@@ -50,11 +48,28 @@ def test_every_public_name_resolves():
         assert getattr(udspell, name) is not None, name
 
 
+def public_definitions(path):
+    """The public module-level functions and classes of a module, and the
+    public methods of those classes."""
+    names = []
+    for node in ast.parse(path.read_text("utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    m.name
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+    return names
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    """No library code that only tests call: each public name is used by the
+    """No library code that only tests call: each public name, and each public
+    function, class and method of the library's modules, is used by the
     library's own modules or by a demo."""
-    sources = [p for p in (ROOT / "src" / "udspell").glob("*.py") if p.name != "__init__.py"]
-    sources += (ROOT / "demos").glob("*.py")
+    modules = [p for p in (ROOT / "src" / "udspell").glob("*.py") if p.name != "__init__.py"]
+    sources = modules + list((ROOT / "demos").glob("*.py"))
     used = set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
@@ -62,4 +77,27 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert sorted(set(udspell.__all__) - used) == []
+    names = set(udspell.__all__).union(*map(public_definitions, modules))
+    assert sorted(names - used) == []
+
+
+def test_no_unused_imports():
+    """Every name a top-level import binds is used in its module, apart from
+    ``from __future__`` imports and names that ``__all__`` exports."""
+    paths = sorted((ROOT / "src" / "udspell").glob("*.py"))
+    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text("utf-8"))
+        bound, used = set(), {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(bound - used)]
+    assert unused == []

@@ -16,7 +16,7 @@ from udspell.confusion import (
     save_ngram_confusion,
 )
 from udspell.errors import ConfusionError
-from udspell.pinyin import PinyinTable, decompose
+from udspell.pinyin import PinyinTable, toneless
 
 from conftest import serve_bundled_text
 
@@ -60,9 +60,32 @@ class TestLoadCharConfusion:
                 assert cand != char
 
 
+def loop_chinese_runs(sentence):
+    """chinese_runs as first written, a loop over the characters: the oracle
+    for the regex."""
+    runs, cur = [], []
+    for c in sentence:
+        if "一" <= c <= "鿿":
+            cur.append(c)
+        elif cur:
+            runs.append("".join(cur))
+            cur = []
+    if cur:
+        runs.append("".join(cur))
+    return runs
+
+
 class TestSegmentation:
     def test_chinese_runs(self):
         assert chinese_runs("甲abc乙丙, 丁") == ["甲", "乙丙", "丁"]
+
+    # both ends of the range, their outer neighbours, a non-BMP character,
+    # ASCII, a space, a full stop and a newline
+    @given(st.text(alphabet=["一", "鿿", "\u4dff", "\ua000", "𠀀", "a", "Z", "1", " ", "。", "\n"]))
+    @example("一鿿\u4dff一\ua000鿿𠀀一\n")
+    @settings(max_examples=500, deadline=None)
+    def test_chinese_runs_equal_the_loop(self, sentence):
+        assert chinese_runs(sentence) == loop_chinese_runs(sentence)
 
 
 class TestBuildNgram:
@@ -130,7 +153,7 @@ def reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy)
         for c in frag:
             if c not in pinyin:
                 return []
-            per_char.append(sorted({r.fuzzy_key(fuzzy) for r in pinyin.readings(c)}))
+            per_char.append(sorted(pinyin.keys(c, fuzzy)))
         keys = []
         for combo in product(*per_char):
             keys.append(tuple(combo))
@@ -143,11 +166,7 @@ def reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy)
             return True
         if b in char_conf.phonetic.get(a, ()) or a in char_conf.phonetic.get(b, ()):
             return True
-        return any(
-            x.fuzzy_key(fuzzy) == y.fuzzy_key(fuzzy)
-            for x in pinyin.readings(a)
-            for y in pinyin.readings(b)
-        )
+        return bool(pinyin.keys(a, fuzzy) & pinyin.keys(b, fuzzy))
 
     conf = {}
 
@@ -212,7 +231,7 @@ class TestBuildNgramAgainstReference:
     )
     @settings(max_examples=300, deadline=None)
     def test_same_entries(self, table, corpus, char_sets, min_count, fuzzy):
-        pinyin = PinyinTable({c: tuple(map(decompose, rs)) for c, rs in table.items()})
+        pinyin = PinyinTable({c: tuple(map(toneless, rs)) for c, rs in table.items()})
         char_conf = CharConfusion(phonetic=char_sets)
         expected = reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy)
         got = build_ngram_confusion(corpus, pinyin, min_count=min_count, fuzzy=fuzzy)

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import random
-from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 

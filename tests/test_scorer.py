@@ -10,7 +10,6 @@ from udspell.errors import ScorerError
 from udspell.lattice import make_lattice
 from udspell.scorer import (
     ChannelModel,
-    NgramModel,
     load_model,
     save_model,
     score_corpus,
