@@ -58,7 +58,7 @@ def _effective_positions(lat: Lattice, dic: UserDictionary, cfg: DecodeConfig) -
     positions = list(lat.positions)
     for j, cands in enumerate(positions):
         if not cands:
-            raise DecodeError(f"lattice {lat.id!r}: empty position {j} after pruning")
+            raise DecodeError(f"lattice {lat.id!r}: position {j} has no candidates")
     if cfg.eta > 0 and len(dic):
         for j in rsm_fixed_positions(lat.input, dic):
             ch = lat.input[j]
@@ -78,7 +78,7 @@ def decode(
     """
     cfg = cfg or DecodeConfig()
     positions = _effective_positions(lat if _pruned else prune(lat, cfg.prune), dic, cfg)
-    step, ends, depth = dic.step, dic.ends, dic.depth
+    table, root, ends, depth = dic.table, dic.root, dic.ends, dic.depth
     altered_mode = cfg.asm_count_mode == "altered"
     eta = cfg.eta
     input_s = lat.input
@@ -90,17 +90,37 @@ def decode(
     # without a key.
     hyps = [(0, "", 0.0, 0.0, 0, 0, 0, 0, 0, None)]
     for j, cands in enumerate(positions):
-        merged: dict[tuple[int, int], tuple] = {}
+        merged: dict[int | tuple[int, int], tuple] = {}
         bit = 1 << j
         in_ch = input_s[j]
+        # (token, logp, altered?, the state entered when no term continues the prefix)
+        moves = [(tok, lp, tok != in_ch, root.get(tok, 0)) for tok, lp in cands]
         for rank, hyp in enumerate(hyps):
             _, _, _, raw0, n_alt0, reward0, state0, covered0, altered0, _ = hyp
-            for tok, lp in cands:
-                if tok == in_ch:
-                    altered, n_alt = altered0, n_alt0
-                else:
+            nxt = table[state0]
+            bonus0 = eta * reward0
+            for tok, lp, alt, shallow in moves:
+                if alt:
                     altered, n_alt = altered0 | bit, n_alt0 + 1
-                state = step(state0, tok)
+                else:
+                    altered, n_alt = altered0, n_alt0
+                state = nxt.get(tok)
+                if state is None:
+                    # No term continues the prefix: the root or a depth-1 state ends
+                    # no term and spells no covered bit, so it alone is the key.
+                    raw = raw0 + lp
+                    total = raw + bonus0
+                    old = merged.get(shallow)
+                    if (
+                        old is None
+                        or total > old[2]
+                        or total == old[2]
+                        and (-raw, n_alt, rank, tok) < (-old[3], old[4], old[0], old[1])
+                    ):
+                        merged[shallow] = (
+                            rank, tok, total, raw, n_alt, reward0, shallow, covered0, altered, hyp
+                        )
+                    continue
                 covered = covered0
                 reward = reward0
                 lens = ends[state]

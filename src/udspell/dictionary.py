@@ -21,11 +21,13 @@ MAX_WORD_LEN = 4  # longest gram of the word list that stands in for a lexicon
 class UserDictionary:
     """Immutable term set (each term >= 2 chars) and its Aho-Corasick matcher.
 
-    States are integers; 0 is the root. ``step`` advances by one character
-    (following failure links), ``ends[state]`` holds the lengths of every
-    term ending at that state, and ``depth[state]`` is the length of
-    the term prefix the state spells: the longest suffix of the text read so
-    far that a term occurrence can still extend.
+    States are integers; 0 is the root. ``step`` is one lookup: ``table[state]``
+    holds every transition along the state's failure chain but the root's,
+    which ``root`` holds. ``ends[state]`` holds the lengths of every term
+    ending at that state, and ``depth[state]`` is the length of the term
+    prefix the state spells: the longest suffix of the text read so far that
+    a term occurrence can still extend. Terms have >= 2 chars, so every
+    ``table`` entry leads to depth >= 2, and no state of depth <= 1 ends one.
     """
 
     def __init__(self, terms: Iterable[str]):
@@ -33,41 +35,43 @@ class UserDictionary:
         for t in self.terms:
             if len(t) < 2:
                 raise DictionaryError(f"dictionary term too short: {t!r}")
-        self._goto: list[dict[str, int]] = [{}]
-        self._fail: list[int] = [0]
+        goto: list[dict[str, int]] = [{}]
         self.ends: list[tuple[int, ...]] = [()]
         self.depth: list[int] = [0]
         for term in sorted(self.terms):
             state = 0
             for ch in term:
-                nxt = self._goto[state].get(ch)
+                nxt = goto[state].get(ch)
                 if nxt is None:
-                    nxt = len(self._goto)
-                    self._goto[state][ch] = nxt
-                    self._goto.append({})
-                    self._fail.append(0)
+                    nxt = len(goto)
+                    goto[state][ch] = nxt
+                    goto.append({})
                     self.ends.append(())
                     self.depth.append(self.depth[state] + 1)
                 state = nxt
             self.ends[state] += (len(term),)
-        # failure links in BFS order: a link always points to a shallower state
-        queue = deque(self._goto[0].values())
+        self.root = goto[0]
+        # In BFS order a state's table is its failure link's table updated
+        # with its own children; both are set by then, as a link always points
+        # to a shallower state. Tables that one side leaves unchanged are shared.
+        self.table: list[dict[str, int]] = [{}] + goto[1:]  # final at depth <= 1
+        fail = [0] * len(goto)
+        queue = deque(self.root.values())
         while queue:
             state = queue.popleft()
-            for ch, child in self._goto[state].items():
+            for ch, child in goto[state].items():
                 queue.append(child)
-                # step reads only links of states no deeper than state, all set by now
-                self._fail[child] = self.step(self._fail[state], ch)
-                self.ends[child] += self.ends[self._fail[child]]
+                fail[child] = link = self.step(fail[state], ch)
+                self.ends[child] += self.ends[link]
+                inherited, own = self.table[link], goto[child]
+                self.table[child] = {**inherited, **own} if inherited and own else inherited or own
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def step(self, state: int, ch: str) -> int:
-        """Advance one character, following failure links."""
-        while state and ch not in self._goto[state]:
-            state = self._fail[state]
-        return self._goto[state].get(ch, 0)
+        """Advance one character."""
+        return self.table[state].get(ch) or self.root.get(ch, 0)
 
     def iter_matches(self, text: str) -> Iterator[tuple[int, int]]:
         """(start, end) of every term occurrence in text, end exclusive."""

@@ -2,9 +2,10 @@
 
 The reference module recomputes pruning, raw-span pinning and the
 altered-span reward from their documented definitions without importing
-``udspell``; it is loaded by file path so no ``perfbench`` module goes onto
-``sys.path``. The oracle reads a lattice, a dictionary and a decode config
-through their attributes only.
+``udspell``. It and the benchmark's input generator ``workloads`` are
+loaded by file path so no ``perfbench`` module goes onto ``sys.path``. The
+oracle reads a lattice, a dictionary and a decode config through their
+attributes only.
 """
 import functools
 import importlib.util
@@ -13,12 +14,19 @@ import operator
 import sys
 from pathlib import Path
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-)
-reference = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = reference  # its dataclasses look their module up
-_spec.loader.exec_module(reference)
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load("reference")
+workloads = _load("workloads")  # the benchmark's seeded inputs
 
 
 def positions(lat, dic, cfg):

@@ -403,6 +403,16 @@ class TestPipeline:
         assert error.startswith("error: record 2: ")
         assert len(out.splitlines()) == 1
 
+    def test_decode_skips_input_with_empty_position(self, workdir, capsys):
+        empty = lattice_line(make_lattice("0", "甲乙", [[("甲", -0.1)], []]))
+        good = lattice_line(make_lattice("1", "甲乙", [[("甲", -0.1)], [("乙", -0.1)]]))
+        lat = workdir / "empty.jsonl"
+        lat.write_text(empty + good, encoding="utf-8")
+        code, out, err = run(capsys, "decode", "--lattice", str(lat))
+        assert code == 0
+        assert [json.loads(line)["id"] for line in out.splitlines()] == ["1"]
+        assert err.splitlines()[1:] == ["# error 0: lattice '0': position 1 has no candidates"]
+
     def test_gen_corpus_reruns_byte_identical(self, workdir, capsys):
         argv = [
             "gen-corpus",

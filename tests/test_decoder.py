@@ -12,7 +12,7 @@ from udspell.errors import DecodeError
 from udspell.lattice import PruneConfig, make_lattice, prune
 
 from conftest import NO_PRUNE, VOCAB, argmax_tokens, random_lattice
-from oracle import brute_decode, positions, reference
+from oracle import brute_decode, positions, reference, workloads
 
 EMPTY = UserDictionary(())
 
@@ -229,6 +229,20 @@ class TestExhaustive:
             lat.input, positions(lat, dic, cfg), dic.terms, cfg.eta, cfg.asm_count_mode
         )
         assert abs(decode(lat, dic, cfg).total - want) <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["covered", "altered"])
+    def test_benchmark_lattices_match_reference_program(self, mode):
+        # 60 positions x 5 candidates and 2-8-character terms drawn from the
+        # candidates: longer than any lattice brute force or reference_case reach
+        inputs = workloads.make_inputs("dense", 7)
+        dic = UserDictionary(inputs.terms)
+        cfg = DecodeConfig(asm_count_mode=mode)
+        for d in inputs.dense[:40]:
+            lat = make_lattice(d.id, d.input, d.positions)
+            want = reference.best_total(
+                lat.input, positions(lat, dic, cfg), dic.terms, cfg.eta, mode
+            )
+            assert abs(decode(lat, dic, cfg).total - want) <= 1e-9, lat.id
 
     def test_reference_program_matches_brute_force(self):
         # the dynamic program above is itself checked against enumeration

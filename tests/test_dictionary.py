@@ -39,6 +39,32 @@ def naive_spans(text, terms):
     return found
 
 
+def failure_walk(terms):
+    """``step`` of a textbook goto/fail automaton over ``terms``, its states
+    numbered as ``UserDictionary`` numbers them, and the number of states."""
+    goto, fail = [{}], [0]
+    for term in sorted(terms):
+        state = 0
+        for ch in term:
+            if ch not in goto[state]:
+                goto[state][ch] = len(goto)
+                goto.append({})
+                fail.append(0)
+            state = goto[state][ch]
+
+    def step(state, ch):
+        while state and ch not in goto[state]:
+            state = fail[state]
+        return goto[state].get(ch, 0)
+
+    queue = list(goto[0].values())
+    for state in queue:  # BFS: a link points to a shallower state
+        for ch, child in goto[state].items():
+            fail[child] = step(fail[state], ch)
+            queue.append(child)
+    return step, len(goto)
+
+
 class TestSegmentation:
     def test_greedy_longest_match(self):
         words = {"审查", "审查案件", "案件"}
@@ -121,6 +147,23 @@ class TestAutomaton:
                 incremental.append((j - ln + 1, j + 1))
         assert sorted(incremental) == sorted(ac.iter_matches(text))
         assert set(incremental) == naive_spans(text, terms)
+
+    @given(text_strategy, terms_strategy)
+    # 乙丙 has no child: its table holds 丁 only by inheriting from its link 丙
+    @example("甲乙丙丁", {"甲乙丙丁", "乙丙", "丙丁"})
+    @settings(max_examples=200, deadline=None)
+    def test_table_equals_failure_walk(self, text, terms):
+        ac = UserDictionary(terms)
+        walk, n_states = failure_walk(terms)
+        assert len(ac.table) == len(ac.depth) == n_states
+        chars = set(text).union(*terms) | {"子"}  # 子 occurs in no term
+        for state in range(n_states):
+            for ch in chars:
+                assert ac.step(state, ch) == walk(state, ch), (state, ch)
+            # what decode's short branch relies on
+            assert all(ac.depth[s] >= 2 for s in ac.table[state].values())
+            if ac.depth[state] <= 1:
+                assert ac.ends[state] == ()
 
 
 class TestAsmReward:
