@@ -26,7 +26,7 @@ CORPUS = [
 
 def main():
     pinyin = default_table()
-    chars = default_char_confusion(pinyin)
+    chars = default_char_confusion()
 
     print("building fragment confusion sets from the corpus ...")
     ngrams = build_ngram_confusion(CORPUS, pinyin, min_count=2)

@@ -19,7 +19,6 @@ from udspell import (
     train,
 )
 from udspell.confusion import default_char_confusion
-from udspell.pinyin import default_table
 from udspell.scorer import score_sentence
 
 CLEAN = [
@@ -34,8 +33,7 @@ USER_DICT = UserDictionary({"人民检察院", "审查案件", "检察院"})
 
 
 def main():
-    pinyin = default_table()
-    chars = default_char_confusion(pinyin)
+    chars = default_char_confusion()
 
     print(f"training character model on {len(CLEAN)} clean sentences ...")
     # a deliberately weak scorer (unigram context, conservative channel)

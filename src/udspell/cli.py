@@ -55,10 +55,13 @@ def _out_handle(stack: ExitStack, path: str | None) -> IO[str]:
     return stack.enter_context(open(path, "w", encoding="utf-8"))
 
 
-def _load_pinyin(path: Path | None):
-    if path is None:
-        return default_table()
-    return load_pinyin_table(_read_table(path))
+def _add_ignored_flag(p: argparse.ArgumentParser, flag: str) -> None:
+    p.add_argument(
+        flag,
+        type=_existing_file,
+        default=None,
+        help="ignored; accepted so that older command lines still parse",
+    )
 
 
 def _add_ecm_flags(p: argparse.ArgumentParser) -> None:
@@ -78,12 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-confusion", help="build the fragment confusion set from a corpus")
     p.add_argument("--corpus", type=_existing_file, required=True)
-    p.add_argument(
-        "--char-confusion",
-        type=_existing_file,
-        default=None,
-        help="ignored; accepted so that older command lines still parse",
-    )
+    _add_ignored_flag(p, "--char-confusion")
     p.add_argument("--pinyin", type=_existing_file, default=None, help="defaults to the bundled table")
     p.add_argument("--min-count", type=int, default=5)
     p.add_argument("--no-fuzzy", action="store_true", help="require exact tone-less pinyin matches")
@@ -94,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", type=_existing_file, required=True)
     p.add_argument("--char-confusion", type=_existing_file, required=True)
     p.add_argument("--ngram-confusion", type=_existing_file, default=None)
-    p.add_argument("--pinyin", type=_existing_file, default=None)
+    _add_ignored_flag(p, "--pinyin")  # only build-confusion reads pinyin
     p.add_argument("--seed", type=int, default=0)
     _add_ecm_flags(p)
     p.add_argument("--out", default="-")
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="emit top-k lattices for sentences")
     p.add_argument("--model", type=_existing_file, required=True)
     p.add_argument("--char-confusion", type=_existing_file, required=True)
-    p.add_argument("--pinyin", type=_existing_file, default=None)
+    _add_ignored_flag(p, "--pinyin")  # only build-confusion reads pinyin
     p.add_argument("--input", type=_existing_file, required=True, help="one sentence per line")
     p.add_argument("--topk", type=int, default=5)
     p.add_argument("--p-keep", type=float, default=0.97)
@@ -151,9 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build_confusion(args, out: IO[str]) -> None:
+    pinyin = default_table() if args.pinyin is None else load_pinyin_table(_read_table(args.pinyin))
     conf = confusion_mod.build_ngram_confusion(
         _read_lines(args.corpus),
-        _load_pinyin(args.pinyin),
+        pinyin,
         min_count=args.min_count,
         fuzzy=not args.no_fuzzy,
     )
@@ -161,10 +160,7 @@ def _cmd_build_confusion(args, out: IO[str]) -> None:
 
 
 def _cmd_gen_corpus(args, out: IO[str]) -> None:
-    pinyin = _load_pinyin(args.pinyin)
-    char_conf = confusion_mod.load_char_confusion(
-        _read_table(args.char_confusion), pinyin_table=pinyin
-    )
+    char_conf = confusion_mod.load_char_confusion(_read_table(args.char_confusion))
     ngram = {}
     if args.ngram_confusion is not None:
         ngram = confusion_mod.load_ngram_confusion(_read_table(args.ngram_confusion))
@@ -189,10 +185,7 @@ def _cmd_train_scorer(args, out: IO[str]) -> None:
 def _cmd_score(args, out: IO[str]) -> None:
     with open(args.model, encoding="utf-8") as fh:
         model = scorer_mod.load_model(fh)
-    pinyin = _load_pinyin(args.pinyin)
-    char_conf = confusion_mod.load_char_confusion(
-        _read_table(args.char_confusion), pinyin_table=pinyin
-    )
+    char_conf = confusion_mod.load_char_confusion(_read_table(args.char_confusion))
     channel = scorer_mod.ChannelModel(confusion=char_conf, p_keep=args.p_keep)
     sentences = _read_table(args.input)  # ids are line numbers
     write_lattices(scorer_mod.score_corpus(sentences, model, channel, k=args.topk), out)

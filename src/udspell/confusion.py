@@ -53,19 +53,14 @@ class CharConfusion:
         return sorted(chars)
 
 
-def load_char_confusion(
-    stream: Iterable[str] | IO[str], pinyin_table: PinyinTable
-) -> CharConfusion:
+def load_char_confusion(stream: Iterable[str] | IO[str]) -> CharConfusion:
     """Load ``char<TAB>P|M<TAB>cand1,cand2,...`` lines.
 
-    Self-candidates are dropped with a warning, and so are phonetic
-    candidates that fail the similarity predicate on every reading pair
-    when both characters are in ``pinyin_table``. ``PinyinTable({})``
-    filters nothing.
+    The table is kept as given, except that self-candidates are dropped with
+    a warning.
     """
     conf = CharConfusion()
     dropped_self = 0
-    dropped_dissimilar = 0
     for ln, (char, tag, cands_s) in table_rows(stream, 3, ConfusionError, "confusion entry"):
         if len(char) != 1:
             raise ConfusionError(f"line {ln}: confused character {char!r} is not one character")
@@ -82,31 +77,18 @@ def load_char_confusion(
             if c == char:
                 dropped_self += 1
                 continue
-            if (
-                tag == "P"
-                and char in pinyin_table
-                and c in pinyin_table
-                and not pinyin_table.similar(char, c)
-            ):
-                dropped_dissimilar += 1
-                continue
             cands.add(c)
         if cands:
             target.setdefault(char, set()).update(cands)
     if dropped_self:
         logger.warning("dropped %d self-candidates from confusion input", dropped_self)
-    if dropped_dissimilar:
-        logger.warning(
-            "dropped %d phonetically dissimilar candidates from confusion input",
-            dropped_dissimilar,
-        )
     return conf
 
 
-def default_char_confusion(pinyin_table: PinyinTable) -> CharConfusion:
+def default_char_confusion() -> CharConfusion:
     """The small confusion set bundled with the package."""
     text = resources.files("udspell.data").joinpath("char_confusion.tsv").read_text("utf-8")
-    return load_char_confusion(text.split("\n"), pinyin_table=pinyin_table)
+    return load_char_confusion(text.split("\n"))
 
 
 def save_ngram_confusion(conf: dict[str, set[str]], fh: IO[str]) -> None:

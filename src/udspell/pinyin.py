@@ -7,8 +7,9 @@ final. Every final starts with a vowel and no initial holds one, so a body
 splits into (initial, final) one way only. A fuzzy key is the body with its
 initial collapsed to its group of input-method fuzzy initials (z/zh, c/ch,
 s/sh, l/n, f/h), looked up in ``FUZZY_KEYS``. Syllables are phonetically
-similar iff their keys are equal, characters iff a reading of each has the
-same key: equal keys mean the same final and fuzzy-equal initials.
+similar iff their keys are equal, characters iff their key sets
+(``PinyinTable.keys``) intersect: equal keys mean the same final and
+fuzzy-equal initials.
 """
 from __future__ import annotations
 
@@ -75,13 +76,6 @@ class PinyinTable:
         """The character's fuzzy keys, or its bodies for ``fuzzy=False``."""
         bodies = self._entries[char]
         return {FUZZY_KEYS[b] for b in bodies} if fuzzy else set(bodies)
-
-    def similar(self, a: str, b: str) -> bool:
-        """True iff a reading of each character has the same fuzzy key."""
-        ra, rb = self._entries.get(a, ()), self._entries.get(b, ())
-        if len(ra) == 1 and len(rb) == 1:  # the common case, without a generator
-            return FUZZY_KEYS[ra[0]] == FUZZY_KEYS[rb[0]]
-        return any(FUZZY_KEYS[x] == FUZZY_KEYS[y] for x in ra for y in rb)
 
 
 def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:

@@ -55,8 +55,8 @@ def pinyin_table():
 
 
 @pytest.fixture(scope="session")
-def char_confusion(pinyin_table):
-    return default_char_confusion(pinyin_table)
+def char_confusion():
+    return default_char_confusion()
 
 
 def make_dense_confusion():

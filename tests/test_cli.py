@@ -202,12 +202,12 @@ class TestExitCodes:
         "command, flag, bad_line",
         [
             ("gen-corpus", "--char-confusion", "报\tQ\t抱"),
-            ("gen-corpus", "--pinyin", "报"),
+            ("build-confusion", "--pinyin", "报"),
             ("gen-corpus", "--ngram-confusion", "一年"),
             ("eval", "--records", "only-one-field"),
             ("stats", "--dataset", "only-one-field"),
             ("ideal-dict", "--dataset", "only-one-field"),
-            ("gen-corpus", "--pinyin", "乙\tyi3,qq9"),
+            ("build-confusion", "--pinyin", "乙\tyi3,qq9"),
             ("gen-corpus", "--char-confusion", "甲\tP\t乙x,丙"),
             ("stats", "--dataset", "0\tab\tabc"),
             ("ideal-dict", "--dataset", "0\tab\tabc"),
@@ -224,6 +224,7 @@ class TestExitCodes:
         bad = workdir / "bad.tsv"
         bad.write_text(f"# header\n\n\n{bad_line}\n", encoding="utf-8")
         base = {
+            "build-confusion": ["--corpus", "corpus.txt"],
             "gen-corpus": ["--corpus", "corpus.txt", "--char-confusion", "chars.tsv"],
             "eval": [],
             "stats": [],
@@ -469,6 +470,23 @@ class TestPipeline:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1] and "一年\t意念\n" in outputs[0]
+
+    def test_gen_corpus_and_score_do_not_read_pinyin(self, workdir, capsys):
+        self.train(workdir, capsys)
+        unreadable = workdir / "unreadable.tsv"
+        unreadable.write_text("not a pinyin table\n", encoding="utf-8")
+        commands = {
+            "gen-corpus": ["--corpus", "corpus.txt", "--char-confusion", "chars.tsv"],
+            "score": ["--model", "model.tsv", "--char-confusion", "chars.tsv", "--input", "corpus.txt"],
+        }
+        for command, base in commands.items():
+            argv = [str(workdir / a) if a.endswith((".txt", ".tsv")) else a for a in base]
+            outputs = []
+            for tables in ([], ["--pinyin", str(unreadable)]):
+                code, out, _ = run(capsys, command, *argv, *tables)
+                assert code == 0, command
+                outputs.append(out)
+            assert outputs[0] == outputs[1] and outputs[0], command
 
     def test_eval_json(self, workdir, capsys):
         code, out, _ = run(

@@ -23,40 +23,42 @@ from conftest import serve_bundled_text
 
 class TestLoadCharConfusion:
     def test_phonetic_entry(self):
-        conf = load_char_confusion(["报\tP\t抱,暴,爆"], PinyinTable({}))
+        conf = load_char_confusion(["报\tP\t抱,暴,爆"])
         assert conf.phonetic["报"] >= {"爆"}
 
     def test_morphological_entry(self):
-        conf = load_char_confusion(["导\tM\t异"], PinyinTable({}))
+        conf = load_char_confusion(["导\tM\t异"])
         assert conf.morphological["导"] >= {"异"}
 
     def test_empty_stream(self):
-        conf = load_char_confusion([], PinyinTable({}))
+        conf = load_char_confusion([])
         assert conf.phonetic == {} and conf.morphological == {}
 
     def test_unknown_tag_raises(self):
         with pytest.raises(ConfusionError):
-            load_char_confusion(["报\tQ\t抱"], PinyinTable({}))
+            load_char_confusion(["报\tQ\t抱"])
 
     def test_self_candidate_dropped(self, caplog):
-        conf = load_char_confusion(["报\tP\t报,爆"], PinyinTable({}))
+        conf = load_char_confusion(["报\tP\t报,爆"])
         assert "报" not in conf.phonetic["报"]
         assert conf.phonetic["报"] == {"爆"}
 
-    def test_dissimilar_phonetic_dropped_with_table(self, pinyin_table):
-        conf = load_char_confusion(["报\tP\t爆,衣"], pinyin_table=pinyin_table)
-        assert conf.phonetic["报"] == {"爆"}
+    def test_dissimilar_phonetic_kept(self, pinyin_table):
+        """The table is kept as given: 衣 shares no fuzzy key with 报."""
+        assert not pinyin_table.keys("报") & pinyin_table.keys("衣")
+        conf = load_char_confusion(["报\tP\t爆,衣"])
+        assert conf.phonetic["报"] == {"爆", "衣"}
 
     def test_bundled_set_is_split_at_newlines_only(self, monkeypatch):
         # str.splitlines would also split the comment at U+2028
         serve_bundled_text(monkeypatch, confusion, "# a\u2028b\n甲\tP\t乙\n")
-        conf = confusion.default_char_confusion(PinyinTable({}))
+        conf = confusion.default_char_confusion()
         assert conf.phonetic == {"甲": {"乙"}} and conf.morphological == {}
 
     def test_bundled_set_satisfies_similarity(self, char_confusion, pinyin_table):
         for char, cands in char_confusion.phonetic.items():
             for cand in cands:
-                assert pinyin_table.similar(char, cand), (char, cand)
+                assert pinyin_table.keys(char) & pinyin_table.keys(cand), (char, cand)
                 assert cand != char
 
 

@@ -4,11 +4,12 @@ The inputs and the expected outputs live in ``tests/golden/``. The pinned
 outputs are the ``score`` lattice JSONL, the ``decode`` JSONL and its stderr
 summary, two ``gen-corpus`` ECM corpora, one ``build-confusion`` fragment
 set and one ``ideal-dict`` dictionary. The first corpus comes from the short
-sentences with no pinyin table or fragment file, the second from the inputs
-in ``tests/golden/ecm/`` (sentences of 14+ characters, a pinyin table with
-polyphones, a fragment file) and runs every kind of edit. The fragment set
-is built from the same ``tests/golden/ecm/`` corpus and pinyin table, with
-a cutoff low enough that fragments pair. The dictionary samples half of the
+sentences with no fragment file, the second from the inputs in
+``tests/golden/ecm/`` (sentences of 14+ characters, a fragment file) and
+runs every kind of edit; ``gen-corpus`` ignores the ``--pinyin`` it is
+given. The fragment set is built from the same ``tests/golden/ecm/`` corpus
+and its pinyin table with polyphones, with a cutoff low enough that
+fragments pair. The dictionary samples half of the
 error phrases of ``tests/golden/dataset.tsv``, the source/target pairs of
 the second corpus, so the seeded sample decides which terms it holds. A
 change that alters any of them changes what users get from the same inputs,

@@ -1,22 +1,16 @@
 """The tab-separated table formats share one row rule: blank and ``#`` lines
 are skipped but still counted, and a row with the wrong number of fields is
 reported with its file line."""
-from functools import partial
-
 import pytest
 
 from udspell.confusion import load_char_confusion, load_ngram_confusion
 from udspell.errors import UdspellError
 from udspell.evaluate import read_dataset, read_eval_records
-from udspell.pinyin import PinyinTable, load_pinyin_table
+from udspell.pinyin import load_pinyin_table
 
 # loader, one good row, and the number of entries that row loads as
 LOADERS = [
-    (
-        partial(load_char_confusion, pinyin_table=PinyinTable({})),
-        "报\tP\t抱",
-        lambda c: len(c.phonetic),
-    ),
+    (load_char_confusion, "报\tP\t抱", lambda c: len(c.phonetic)),
     (load_ngram_confusion, "一年\t意念", len),
     (load_pinyin_table, "插\tcha1", len),
     (read_eval_records, "1\t甲乙\t甲丙\t甲丙", len),
