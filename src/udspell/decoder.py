@@ -6,6 +6,11 @@ character before the search starts. The reward counts the distinct
 positions covered by dictionary-term occurrences in the path that contain
 at least one altered position (``asm_count_mode="covered"``), or only the
 altered positions among them (``"altered"``).
+
+The search keeps the best prefix per merge key at each position. A move that
+no term continues is keyed by the state it enters, any other by its state
+and the covered bits of the suffix that state spells; both go through the
+same merge and tie rule.
 """
 from __future__ import annotations
 
@@ -104,42 +109,33 @@ def decode(
                     altered, n_alt = altered0 | bit, n_alt0 + 1
                 else:
                     altered, n_alt = altered0, n_alt0
+                raw = raw0 + lp
+                covered = covered0
+                reward = reward0
                 state = nxt.get(tok)
                 if state is None:
                     # No term continues the prefix: the root or a depth-1 state ends
                     # no term and spells no covered bit, so it alone is the key.
-                    raw = raw0 + lp
+                    key = state = shallow
                     total = raw + bonus0
-                    old = merged.get(shallow)
-                    if (
-                        old is None
-                        or total > old[2]
-                        or total == old[2]
-                        and (-raw, n_alt, rank, tok) < (-old[3], old[4], old[0], old[1])
-                    ):
-                        merged[shallow] = (
-                            rank, tok, total, raw, n_alt, reward0, shallow, covered0, altered, hyp
-                        )
-                    continue
-                covered = covered0
-                reward = reward0
-                lens = ends[state]
-                if lens:
-                    for ln in lens:
-                        span = ((1 << ln) - 1) << (j - ln + 1)
-                        if altered & span:
-                            covered |= span
-                    # Only a term ending here widens the reward: bit j is
-                    # uncovered until now, so gaining it in altered cannot.
-                    if covered != covered0:
-                        reward = (covered & altered if altered_mode else covered).bit_count()
-                raw = raw0 + lp
-                total = raw + eta * reward
-                # A later term reaches back at most over the suffix this state
-                # spells, whose altered bits follow from the state and the
-                # input: prefixes that agree on the state and on the covered
-                # bits of that suffix have the same futures.
-                key = (state, covered >> (j + 1 - depth[state]))
+                else:
+                    lens = ends[state]
+                    if lens:
+                        for ln in lens:
+                            span = ((1 << ln) - 1) << (j - ln + 1)
+                            if altered & span:
+                                covered |= span
+                        # Only a term ending here widens the reward: bit j is
+                        # uncovered until now, so gaining it in altered cannot.
+                        if covered != covered0:
+                            reward = (covered & altered if altered_mode else covered).bit_count()
+                    total = raw + eta * reward
+                    # A later term reaches back at most over the suffix this state
+                    # spells, whose altered bits follow from the state and the
+                    # input: prefixes that agree on the state and on the covered
+                    # bits of that suffix have the same futures. The tuple never
+                    # equals a shallow move's int key.
+                    key = (state, covered >> (j + 1 - depth[state]))
                 old = merged.get(key)
                 if (
                     old is None

@@ -5,6 +5,9 @@ Each sentence draws a single error type (pronunciation 30%, shape 30%,
 random 20%, unchanged 20% by default) and all edits in the sentence share
 that type. Continuous (2-4 char) replacements come from the fragment
 confusion set and occur only under the pronunciation type.
+
+Every edit, of a fragment or of one character, is drawn by ``_draw_other``
+from a sorted pool and never equals the original.
 """
 from __future__ import annotations
 
@@ -73,8 +76,9 @@ class CorruptionRecord:
 
 def _draw_other(rng: random.Random, pool: Sequence[str], orig: str) -> str | None:
     """``rng.choice([c for c in pool if c != orig])`` without the copy: the same
-    character and ``rng`` state, or None and no draw when nothing else is left.
-    ``pool`` must be sorted and free of duplicates."""
+    replacement and ``rng`` state, or None and no draw when nothing else is left.
+    ``pool`` holds characters or same-length fragments, sorted and free of
+    duplicates."""
     k = bisect_left(pool, orig)
     present = k < len(pool) and pool[k] == orig
     if len(pool) == present:
@@ -119,6 +123,7 @@ def _corrupt(
     edits: list[Edit] = []
     spent = 0
     want = rng.randint(1, budget)
+    singles = char_conf.phonetic if error_type == "pronunciation" else char_conf.morphological
 
     attempts = 0
     while spent < want and attempts < _MAX_RETRIES * budget:
@@ -126,43 +131,32 @@ def _corrupt(
         pos = rng.choice(sites)
         if pos in used:
             continue
-        orig = sentence[pos]
-
+        ln = 1
         if error_type == "pronunciation":
             frag_lens = [
-                ln
-                for ln in NGRAM_LENGTHS
-                if ln <= want - spent
-                and pos + ln <= len(sentence)
-                and ngram_conf.get(sentence[pos : pos + ln])
-                and all(is_chinese_char(sentence[i]) and i not in used for i in range(pos, pos + ln))
+                n
+                for n in NGRAM_LENGTHS
+                if n <= want - spent
+                and pos + n <= len(sentence)
+                and ngram_conf.get(sentence[pos : pos + n])
+                and all(is_chinese_char(sentence[i]) and i not in used for i in range(pos, pos + n))
             ]
             if frag_lens and rng.random() < 0.5:
                 ln = rng.choice(frag_lens)
-                frag = sentence[pos : pos + ln]
-                repl = rng.choice(sorted(ngram_conf[frag]))
-                chars[pos : pos + ln] = list(repl)
-                used.update(range(pos, pos + ln))
-                edits.append(Edit(pos, frag, repl))
-                spent += ln
-                continue
-
-        if error_type == "random":
-            repl = _draw_other(rng, inventory, orig)
-            if repl is None:
-                continue
+        orig = sentence[pos : pos + ln]
+        if ln > 1:
+            pool = sorted(ngram_conf[orig])
+        elif error_type == "random":
+            pool = inventory
         else:
-            if error_type == "pronunciation":
-                cands = sorted(char_conf.phonetic.get(orig, ()))
-            else:
-                cands = sorted(char_conf.morphological.get(orig, ()))
-            if not cands:
-                continue
-            repl = rng.choice(cands)
-        chars[pos] = repl
-        used.add(pos)
+            pool = sorted(singles.get(orig, ()))
+        repl = _draw_other(rng, pool, orig)
+        if repl is None:
+            continue
+        chars[pos : pos + ln] = repl
+        used.update(range(pos, pos + ln))
         edits.append(Edit(pos, orig, repl))
-        spent += 1
+        spent += ln
 
     if not edits:
         return CorruptionRecord(sentence, sentence, "unchanged", degraded=True)

@@ -118,16 +118,17 @@ class ChannelModel:
             raise ScorerError(f"p_keep must be in (0, 1], got {self.p_keep}")
 
     def entry(self, observed: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
-        """The observed character, then its confusion candidates in code-point
-        order, with log P(observed | intended) for each. ScorerError if a
-        candidate is not one character."""
+        """The observed character, then its other confusion candidates in
+        code-point order, with log P(observed | intended) for each; a
+        self-candidate is ignored. ScorerError if a candidate is not one
+        character."""
         if observed not in self._entries:
             ph, mo = self.confusion.phonetic, self.confusion.morphological
-            confs = sorted(ph.get(observed, set()) | mo.get(observed, set()))
+            confs = sorted((ph.get(observed, set()) | mo.get(observed, set())) - {observed})
             for c in confs:
                 if len(c) != 1:
                     raise ScorerError(f"{observed!r}: confusion candidate {c!r} is not one character")
-            tokens = (observed, *(c for c in confs if c != observed))
+            tokens = (observed, *confs)
             swap = (1.0 - self.p_keep) / len(confs) if confs else 0.0
             keep_lp = math.log(self.p_keep if confs else 1.0)
             swap_lp = math.log(swap) if swap > 0 else -math.inf

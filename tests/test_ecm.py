@@ -216,6 +216,21 @@ class TestGenerateCorpus:
         ]:
             assert abs(types[name] / 2000 - expected) < 0.04
 
+    def test_self_candidates_make_no_edit(self):
+        # 甲乙 may only become itself; 甲 and 乙 only themselves, 丙 also 丁
+        cc = CharConfusion(
+            phonetic={"甲": {"甲"}, "乙": {"乙"}, "丙": {"丙", "丁"}},
+            morphological={"甲": {"甲"}, "乙": {"乙"}, "丙": {"丙", "丁"}},
+        )
+        ng = {"甲乙": {"甲乙"}}
+        sents = ["甲乙甲乙甲乙甲乙甲乙丙", "甲乙甲乙甲乙甲乙甲乙甲"] * 50
+        cfg = EcmConfig(p_pronunciation=0.5, p_shape=0.5, p_random=0.0, p_unchanged=0.0)
+        recs = list(generate_corpus(sents, cc, ng, cfg))
+        assert all(e.orig != e.repl for r in recs for e in r.edits)
+        assert all(r.error_type == "unchanged" for r in recs if not r.edits)
+        assert all(r.source != r.target for r in recs if r.edits)
+        assert any(r.edits for r in recs)
+
     def test_candidate_less_corpus_all_degraded(self):
         cc = CharConfusion()
         cfg = EcmConfig(p_pronunciation=0.5, p_shape=0.5, p_random=0.0, p_unchanged=0.0)

@@ -133,6 +133,17 @@ class TestChannel:
         ch = ChannelModel(tiny_confusion(), p_keep=0.9)
         assert ch.entry("甲") == (("甲",), (0.0,))
 
+    @pytest.mark.parametrize("table", ["phonetic", "morphological"])
+    def test_self_candidate_is_ignored(self, table):
+        with_self = CharConfusion(**{table: {"甲": {"甲", "乙"}, "丙": {"丙"}}})
+        without = CharConfusion(**{table: {"甲": {"乙"}}})
+        for ch in "甲丙":
+            got = ChannelModel(with_self, p_keep=0.9).entry(ch)
+            assert got == ChannelModel(without, p_keep=0.9).entry(ch)
+        assert ChannelModel(with_self, p_keep=0.9).entry("甲")[1] == pytest.approx(
+            (math.log(0.9), math.log(0.1))
+        )
+
     def test_bad_p_keep(self):
         with pytest.raises(ScorerError):
             ChannelModel(tiny_confusion(), p_keep=0.0)
