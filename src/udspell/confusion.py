@@ -131,10 +131,10 @@ def build_ngram_confusion(
     """Build the fragment confusion set, fragment -> same-length candidates,
     from a sentence corpus.
 
-    The 2/3/4-grams occurring at least ``min_count`` times are paired when
-    they share a pinyin key tuple, which makes every pair the same length
-    and its characters phonetically similar position by position. All pairs
-    are inserted in both directions.
+    The 2/3/4-grams (counted in C, one ``Counter.update`` per run and length)
+    occurring at least ``min_count`` times are paired when they share a pinyin key
+    tuple, which makes every pair the same length and its characters phonetically
+    similar position by position. All pairs are inserted in both directions.
     """
     if min_count < 1:
         raise ConfusionError(f"min_count must be >= 1, got {min_count}")
@@ -146,8 +146,7 @@ def build_ngram_confusion(
     for sent in sentences:
         for run in chinese_runs(sent):
             for ln in NGRAM_LENGTHS:
-                for i in range(len(run) - ln + 1):
-                    gram_counts[run[i : i + ln]] += 1
+                gram_counts.update([run[i : i + ln] for i in range(len(run) - ln + 1)])
 
     buckets: dict[tuple[str, ...], list[str]] = {}
     skipped = 0

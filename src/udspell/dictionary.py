@@ -134,23 +134,23 @@ def error_phrases(pairs: Iterable[tuple[str, str]]) -> set[str]:
     """Distinct gold-side phrases around the error positions of (source, target) pairs.
 
     Each contiguous corrected run is extended to the boundaries of the word
-    containing it under greedy segmentation of the target; phrases shorter
-    than 2 characters are widened by one character where possible. The
-    2-4 character grams seen at least twice among the gold sentences stand
-    in for a word list.
+    containing it under greedy segmentation of the target; phrases shorter than 2
+    characters are widened by one character where possible. The 2-4 character
+    grams seen at least twice among the gold sentences, counted in C, stand in for
+    a word list. DictionaryError names the 0-based index of a pair whose lengths differ.
     """
     pairs = list(pairs)
+    for idx, (source, target) in enumerate(pairs):
+        if len(source) != len(target):
+            raise DictionaryError(f"dataset pair {idx}: source and target lengths differ")
     counts: Counter[str] = Counter()
     for _, target in pairs:
         for ln in range(2, MAX_WORD_LEN + 1):
-            for i in range(len(target) - ln + 1):
-                counts[target[i : i + ln]] += 1
+            counts.update([target[i : i + ln] for i in range(len(target) - ln + 1)])
     wordlist = {g for g, c in counts.items() if c >= 2}
 
     phrases: set[str] = set()
     for source, target in pairs:
-        if len(source) != len(target):
-            raise DictionaryError("dataset pair lengths differ")
         runs = diff_runs(source, target)
         if not runs:
             continue

@@ -7,7 +7,7 @@ keep-or-confuse channel. It makes no attempt to match neural accuracy.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -21,17 +21,20 @@ _BOS = "\x02"
 @dataclass
 class NgramModel:
     """Add-alpha smoothed char model: P(c | previous ``order`` chars), as
-    score_sentence computes it. ``totals`` holds each context's summed count,
-    derived from ``counts``; ScorerError if an unseen character's P underflows."""
+    score_sentence computes it. ``counts`` maps each ``order``-char context to a
+    plain dict, next char -> count; ``totals`` holds each context's summed count.
+    ScorerError for a context of another length or if an unseen char's P underflows."""
 
     order: int = 2
     alpha: float = 0.1
-    counts: dict[str, Counter] = field(default_factory=dict)
+    counts: dict[str, dict[str, int]] = field(default_factory=dict)
     vocab: tuple[str, ...] = ()
     totals: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
+        self.totals = {ctx: sum(row.values()) for ctx, row in self.counts.items()}
+        if any(len(ctx) != self.order for ctx in self.totals):
+            raise ScorerError(f"every context must have exactly {self.order} characters")
         top = max(self.totals.values(), default=0)
         if self.alpha / (top + self.alpha * max(1, len(self.vocab))) == 0.0:
             raise ScorerError(f"alpha {self.alpha!r} underflows beside a context count of {top}")
@@ -45,29 +48,32 @@ def _check_params(order: int, alpha: float) -> None:
 
 
 def train(corpus: Iterable[str], order: int = 2, alpha: float = 0.1) -> NgramModel:
-    """Count-based training; deterministic for a fixed corpus."""
+    """Count-based training; deterministic for a fixed corpus. Each sentence's
+    (order+1)-grams are counted in C, then split into rows in first-seen order."""
     _check_params(order, alpha)
-    counts: defaultdict[str, Counter] = defaultdict(Counter)
+    grams: Counter[str] = Counter()
     vocab: set[str] = set()
     n_sentences = 0
     for sentence in corpus:
         n_sentences += 1
         padded = _BOS * order + sentence
-        for i in range(order, len(padded)):
-            counts[padded[i - order : i]][padded[i]] += 1
+        grams.update([padded[i : i + order + 1] for i in range(len(sentence))])
         vocab.update(sentence)
     if n_sentences == 0 or not vocab:
         raise ScorerError("cannot train on an empty corpus")
-    return NgramModel(order=order, alpha=alpha, counts=dict(counts), vocab=tuple(sorted(vocab)))
+    counts: dict[str, dict[str, int]] = {}
+    for gram, c in grams.items():
+        counts.setdefault(gram[:order], {})[gram[order]] = c
+    return NgramModel(order=order, alpha=alpha, counts=counts, vocab=tuple(sorted(vocab)))
 
 
 def save_model(model: NgramModel, fh: IO[str]) -> None:
-    """Counts-TSV serialization; byte-stable for identical models."""
+    """Counts-TSV serialization; byte-stable for identical models. One sort of
+    the row strings is (context, char) order, as every context has ``order`` chars."""
     fh.write(f"#udspell-ngram\t1\t{model.order}\t{model.alpha!r}\n")
     fh.write("#vocab\t" + "".join(model.vocab) + "\n")
-    for ctx in sorted(model.counts):
-        for char, c in sorted(model.counts[ctx].items()):
-            fh.write(f"{ctx}\t{char}\t{c}\n")
+    rows = [f"{ctx}\t{char}\t{c}\n" for ctx, row in model.counts.items() for char, c in row.items()]
+    fh.writelines(sorted(rows))
 
 
 def load_model(stream: Iterable[str] | IO[str]) -> NgramModel:
@@ -84,7 +90,7 @@ def load_model(stream: Iterable[str] | IO[str]) -> NgramModel:
     if not vocab_line.startswith("#vocab\t"):
         raise ScorerError("missing vocab line in model file")
     vocab = tuple(vocab_line[7:])  # the vocabulary may hold a tab
-    counts: dict[str, Counter] = {}
+    counts: dict[str, dict[str, int]] = {}
     ctx = None
     for ln, line in enumerate(lines, 3):  # after a header; a context may begin with "#"
         line = line.rstrip("\n")
@@ -99,8 +105,8 @@ def load_model(stream: Iterable[str] | IO[str]) -> NgramModel:
             raise ScorerError(f"line {ln}: malformed count entry {line!r}") from None
         if line[:order] != ctx:  # save_model writes each context's lines together
             ctx = line[:order]
-            counter = counts.setdefault(ctx, Counter())
-        counter[line[order + 1]] = count
+            row = counts.setdefault(ctx, {})
+        row[line[order + 1]] = count
     return NgramModel(order=order, alpha=alpha, counts=counts, vocab=vocab)
 
 
@@ -159,9 +165,9 @@ def score_sentence(
     for j, obs in enumerate(sentence):
         cands, channel = ch.entry(obs)
         ctx = padded[j : j + order]
-        counter = counts.get(ctx) or {}
+        row = counts.get(ctx) or {}
         denom = totals.get(ctx, 0) + smooth
-        scores = [log((counter.get(t, 0) + alpha) / denom) + b for t, b in zip(cands, channel)]
+        scores = [log((row.get(t, 0) + alpha) / denom) + b for t, b in zip(cands, channel)]
         m = max(scores)
         norm = m + log(sum([exp(s - m) for s in scores]))
         # zero-probability candidates (p_keep == 1) cannot appear in a lattice

@@ -247,6 +247,11 @@ class TestIdealDictionary:
             assert len(phrase) >= 2
             assert any(phrase in target for _, target in self.PAIRS)
 
+    def test_length_mismatch_names_the_pair(self):
+        pairs = [*self.PAIRS, ("依法审查", "依法审查案件"), ("甲乙", "甲")]
+        with pytest.raises(DictionaryError, match=r"^dataset pair 3: "):
+            error_phrases(pairs)
+
     def test_bad_proportion_raises(self):
         with pytest.raises(DictionaryError):
             build_ideal_dictionary(self.PAIRS, 1.5)

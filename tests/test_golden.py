@@ -1,19 +1,20 @@
 """Byte-exact golden outputs of the CLI on small fixed inputs.
 
 The inputs and the expected outputs live in ``tests/golden/``. The pinned
-outputs are the ``score`` lattice JSONL, the ``decode`` JSONL and its stderr
-summary, two ``gen-corpus`` ECM corpora, one ``build-confusion`` fragment
-set and one ``ideal-dict`` dictionary. The first corpus comes from the short
-sentences with no fragment file, the second from the inputs in
-``tests/golden/ecm/`` (sentences of 14+ characters, a fragment file) and
-runs every kind of edit; ``gen-corpus`` ignores the ``--pinyin`` it is
-given. The fragment set is built from the same ``tests/golden/ecm/`` corpus
-and its pinyin table with polyphones, with a cutoff low enough that
-fragments pair. The dictionary samples half of the
-error phrases of ``tests/golden/dataset.tsv``, the source/target pairs of
-the second corpus, so the seeded sample decides which terms it holds. A
-change that alters any of them changes what users get from the same inputs,
-so it has to be deliberate: regenerate with
+outputs are the ``train-scorer`` model, the ``score`` lattice JSONL, the
+``decode`` JSONL and its stderr summary, two ``gen-corpus`` ECM corpora, one
+``build-confusion`` fragment set and one ``ideal-dict`` dictionary. The model
+is trained on the short sentences of ``tests/golden/corpus.txt``. The first
+corpus comes from the same sentences with no fragment file, the second from
+the inputs in ``tests/golden/ecm/`` (sentences of 14+ characters, a fragment
+file) and runs every kind of edit; ``gen-corpus`` ignores the ``--pinyin`` it
+is given. The fragment set is built from the same ``tests/golden/ecm/``
+corpus and its pinyin table with polyphones, with a cutoff low enough that
+fragments pair. The dictionary samples half of the error phrases of
+``tests/golden/dataset.tsv``, the source/target pairs of the second corpus,
+so the seeded sample decides which terms it holds. A change that alters any
+of them changes what users get from the same inputs, so it has to be
+deliberate: regenerate with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and review the diff.
 """
 import io
@@ -30,6 +31,7 @@ GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected"
 ECM = GOLDEN / "ecm"
 NAMES = (
+    "model.tsv",
     "lattice.jsonl",
     "decode.jsonl",
     "decode.stderr",
@@ -92,8 +94,9 @@ def produce(workdir: Path) -> dict[str, str]:
         "--proportion", "0.5",
         "--seed", "1",
     )
+    trained = model.read_bytes().decode("utf-8")
     return dict(
-        zip(NAMES, (lattices, decoded, summary, corpus, fragment_corpus, fragments, ideal))
+        zip(NAMES, (trained, lattices, decoded, summary, corpus, fragment_corpus, fragments, ideal))
     )
 
 

@@ -10,6 +10,7 @@ from udspell.errors import ScorerError
 from udspell.lattice import make_lattice
 from udspell.scorer import (
     ChannelModel,
+    NgramModel,
     load_model,
     save_model,
     score_corpus,
@@ -58,6 +59,11 @@ class TestTrain:
         with pytest.raises(ScorerError):
             train([])
 
+    @pytest.mark.parametrize("ctx", ["甲", "甲乙丙", ""])
+    def test_context_of_another_length_is_refused(self, ctx):
+        with pytest.raises(ScorerError, match="every context must have exactly 2 characters"):
+            NgramModel(order=2, counts={"甲乙": {"丙": 1}, ctx: {"丙": 1}}, vocab=("甲", "乙", "丙"))
+
     def test_alpha_that_underflows_is_refused(self):
         # alpha / (20000 + 2 * alpha) is below the smallest subnormal float
         with pytest.raises(ScorerError, match="alpha 1e-320 underflows"):
@@ -71,10 +77,53 @@ class TestTrain:
         v = len(model.vocab)
         for ctx in list(model.counts)[:5]:
             want = {
-                c: math.log((model.counts[ctx][c] + 0.1) / (model.totals[ctx] + 0.1 * v))
+                c: math.log((model.counts[ctx].get(c, 0) + 0.1) / (model.totals[ctx] + 0.1 * v))
                 for c in model.vocab
             }
             assert lm_logprobs(model, ctx) == pytest.approx(want, abs=1e-9)
+
+
+def reference_train(corpus, order):
+    """``train``'s counts as first written: one increment per occurrence, each
+    context's row made when the context is first seen."""
+    counts = {}
+    for sentence in corpus:
+        padded = "\x02" * order + sentence
+        for i in range(order, len(padded)):
+            row = counts.setdefault(padded[i - order : i], {})
+            row[padded[i]] = row.get(padded[i], 0) + 1
+    return counts
+
+
+def reference_save_rows(counts):
+    """``save_model``'s count rows as first written: contexts sorted, then each
+    context's characters sorted."""
+    return "".join(
+        f"{ctx}\t{char}\t{c}\n" for ctx in sorted(counts) for char, c in sorted(counts[ctx].items())
+    )
+
+
+class TestTrainMatchesReference:
+    @given(
+        st.lists(st.text("甲乙\t#\x02", max_size=10), min_size=1, max_size=6).filter(
+            lambda corpus: "".join(corpus)
+        ),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counts_and_bytes(self, corpus, order):
+        model = train(corpus, order=order)
+        want = reference_train(corpus, order)
+        # equal as dicts, and iterated in the same first-seen order
+        assert model.counts == want
+        assert [(ctx, list(row.items())) for ctx, row in model.counts.items()] == [
+            (ctx, list(row.items())) for ctx, row in want.items()
+        ]
+        assert all(type(row) is dict for row in model.counts.values())
+        buf = io.StringIO()
+        save_model(model, buf)
+        header = f"#udspell-ngram\t1\t{order}\t0.1\n#vocab\t{''.join(model.vocab)}\n"
+        assert buf.getvalue() == header + reference_save_rows(want)
 
 
 class TestSerialization:
