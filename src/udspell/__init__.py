@@ -18,7 +18,6 @@ from .ecm import CorruptionRecord, EcmConfig, generate_corpus
 from .errors import UdspellError
 from .evaluate import EvalRecord, dataset_stats, sentence_metrics
 from .lattice import Lattice, PruneConfig, make_lattice, parse_lattice, prune
-from .pinyin import PinyinTable
 from .scorer import ChannelModel, NgramModel, score_sentence, train
 
 __version__ = "0.1.0"
@@ -34,7 +33,6 @@ __all__ = [
     "EvalRecord",
     "Lattice",
     "NgramModel",
-    "PinyinTable",
     "PruneConfig",
     "UdspellError",
     "UserDictionary",

@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ignored_flag(p, "--char-confusion")
     p.add_argument("--pinyin", type=_existing_file, default=None, help="defaults to the bundled table")
     p.add_argument("--min-count", type=int, default=5)
-    p.add_argument("--no-fuzzy", action="store_true", help="require exact tone-less pinyin matches")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_build_confusion)
 
@@ -150,12 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_build_confusion(args, out: IO[str]) -> None:
     pinyin = default_table() if args.pinyin is None else load_pinyin_table(_read_table(args.pinyin))
-    conf = confusion_mod.build_ngram_confusion(
-        _read_lines(args.corpus),
-        pinyin,
-        min_count=args.min_count,
-        fuzzy=not args.no_fuzzy,
-    )
+    corpus = _read_lines(args.corpus)
+    conf = confusion_mod.build_ngram_confusion(corpus, pinyin, min_count=args.min_count)
     confusion_mod.save_ngram_confusion(conf, out)
 
 

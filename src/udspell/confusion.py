@@ -2,8 +2,8 @@
 fragment-level (2-4 char) confusion set built from a corpus.
 
 The fragment set is built in one pass over the frequent 2/3/4-grams of the
-corpus: grams that share a tone-less (optionally fuzzy) pinyin key tuple are
-paired. It is a plain dict, fragment -> same-length candidates, symmetric.
+corpus: grams that share a fuzzy pinyin key tuple are paired. It is a plain
+dict, fragment -> same-length candidates, symmetric.
 """
 from __future__ import annotations
 
@@ -16,15 +16,15 @@ from itertools import combinations, islice, product
 from typing import IO, Iterable
 
 from .errors import ConfusionError, table_rows
-from .pinyin import PinyinTable
 
 logger = logging.getLogger(__name__)
 
 NGRAM_LENGTHS = (2, 3, 4)
 MAX_FRAGMENT_KEYS = 16  # reading combinations kept per fragment
 
+# What counts as a Chinese character, for this module and for ECM's edit sites.
 _CJK_RANGE = ("一", "鿿")
-_CJK_RUNS = re.compile(f"[{_CJK_RANGE[0]}-{_CJK_RANGE[1]}]+")
+CJK_RUNS = re.compile(f"[{_CJK_RANGE[0]}-{_CJK_RANGE[1]}]+")
 
 
 def is_chinese_char(c: str) -> bool:
@@ -33,7 +33,7 @@ def is_chinese_char(c: str) -> bool:
 
 def chinese_runs(sentence: str) -> list[str]:
     """Maximal runs of consecutive Chinese characters in a sentence."""
-    return _CJK_RUNS.findall(sentence)
+    return CJK_RUNS.findall(sentence)
 
 
 @dataclass
@@ -107,34 +107,32 @@ def load_ngram_confusion(stream: Iterable[str] | IO[str]) -> dict[str, set[str]]
     return conf
 
 
-def _fragment_keys(frag: str, pinyin: PinyinTable, fuzzy: bool) -> list[tuple[str, ...]]:
-    """Tone-less (optionally fuzzy) pinyin key tuples for a fragment.
+def _fragment_keys(frag: str, pinyin: dict[str, tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """Fuzzy pinyin key tuples for a fragment.
 
     Polyphones contribute every reading combination, capped at
     ``MAX_FRAGMENT_KEYS``. Returns [] when any character is missing from the
     table.
     """
-    per_char = []
-    for c in frag:
-        if c not in pinyin:
-            return []
-        per_char.append(sorted(pinyin.keys(c, fuzzy)))
+    per_char = [pinyin.get(c) for c in frag]
+    if None in per_char:
+        return []
     return list(islice(product(*per_char), MAX_FRAGMENT_KEYS))
 
 
 def build_ngram_confusion(
     corpus: Iterable[str],
-    pinyin: PinyinTable,
+    pinyin: dict[str, tuple[str, ...]],
     min_count: int = 5,
-    fuzzy: bool = True,
 ) -> dict[str, set[str]]:
     """Build the fragment confusion set, fragment -> same-length candidates,
     from a sentence corpus.
 
     The 2/3/4-grams (counted in C, one ``Counter.update`` per run and length)
-    occurring at least ``min_count`` times are paired when they share a pinyin key
-    tuple, which makes every pair the same length and its characters phonetically
-    similar position by position. All pairs are inserted in both directions.
+    occurring at least ``min_count`` times are paired when they share a fuzzy
+    pinyin key tuple, which makes every pair the same length and its characters
+    phonetically similar position by position. All pairs are inserted in both
+    directions.
     """
     if min_count < 1:
         raise ConfusionError(f"min_count must be >= 1, got {min_count}")
@@ -151,7 +149,7 @@ def build_ngram_confusion(
     buckets: dict[tuple[str, ...], list[str]] = {}
     skipped = 0
     for gram in sorted(g for g, c in gram_counts.items() if c >= min_count):
-        keys = _fragment_keys(gram, pinyin, fuzzy)
+        keys = _fragment_keys(gram, pinyin)
         if not keys:
             skipped += 1
         for key in keys:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
-from .confusion import _CJK_RUNS, NGRAM_LENGTHS, CharConfusion, is_chinese_char
+from .confusion import CJK_RUNS, NGRAM_LENGTHS, CharConfusion, is_chinese_char
 from .errors import EcmError
 
 ERROR_TYPES = ("pronunciation", "shape", "random", "unchanged")
@@ -88,7 +88,7 @@ def _draw_other(rng: random.Random, pool: Sequence[str], orig: str) -> str | Non
 
 
 def _edit_sites(sentence: str) -> list[int]:
-    return [i for m in _CJK_RUNS.finditer(sentence) for i in range(*m.span())]
+    return [i for m in CJK_RUNS.finditer(sentence) for i in range(*m.span())]
 
 
 def _corrupt(

@@ -6,10 +6,10 @@ for the vowel u-umlaut. A body is an initial (possibly empty) followed by a
 final. Every final starts with a vowel and no initial holds one, so a body
 splits into (initial, final) one way only. A fuzzy key is the body with its
 initial collapsed to its group of input-method fuzzy initials (z/zh, c/ch,
-s/sh, l/n, f/h), looked up in ``FUZZY_KEYS``. Syllables are phonetically
-similar iff their keys are equal, characters iff their key sets
-(``PinyinTable.keys``) intersect: equal keys mean the same final and
-fuzzy-equal initials.
+s/sh, l/n, f/h), looked up in ``FUZZY_KEYS``. A pinyin table maps each
+character to the sorted fuzzy keys of its readings. Syllables are
+phonetically similar iff their keys are equal, characters iff their keys
+intersect: equal keys mean the same final and fuzzy-equal initials.
 """
 from __future__ import annotations
 
@@ -59,36 +59,18 @@ def toneless(syllable: str) -> str:
     return s[:-1]
 
 
-class PinyinTable:
-    """Immutable character-to-readings map: each character's distinct tone-less
-    bodies in file order, as ``load_pinyin_table`` or ``toneless`` makes them."""
-
-    def __init__(self, entries: dict[str, tuple[str, ...]]):
-        self._entries = dict(entries)
-
-    def __contains__(self, char: str) -> bool:
-        return char in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def keys(self, char: str, fuzzy: bool = True) -> set[str]:
-        """The character's fuzzy keys, or its bodies for ``fuzzy=False``."""
-        bodies = self._entries[char]
-        return {FUZZY_KEYS[b] for b in bodies} if fuzzy else set(bodies)
-
-
-def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:
-    """Load ``char<TAB>syll1,syll2,...`` lines, stripped whole; ``#`` starts a
-    comment. A character on several lines keeps the readings of all of them."""
-    entries: dict[str, tuple[str, ...]] = {}
-    bodies: dict[str, str] = {}  # each distinct syllable string checked once
+def load_pinyin_table(stream: Iterable[str] | IO[str]) -> dict[str, tuple[str, ...]]:
+    """Load ``char<TAB>syll1,syll2,...`` lines, stripped whole; a ``#`` comment
+    must fill its whole line. Each character maps to the sorted, distinct fuzzy
+    keys of every reading on every line that names it."""
+    keys: dict[str, tuple[str, ...]] = {}
+    memo: dict[str, str] = {}  # each distinct syllable string checked once
     for ln, (char, sylls) in table_rows(map(str.strip, stream), 2, PinyinError, "pinyin entry"):
         if len(char) != 1:
             raise PinyinError(f"line {ln}: {char!r} is not one character")
         try:
             read = [
-                bodies[s] if s in bodies else bodies.setdefault(s, toneless(s))
+                memo[s] if s in memo else memo.setdefault(s, FUZZY_KEYS[toneless(s)])
                 for s in sylls.split(",")
                 if s
             ]
@@ -96,11 +78,11 @@ def load_pinyin_table(stream: Iterable[str] | IO[str]) -> PinyinTable:
             raise PinyinError(f"line {ln}: {e}") from e
         if not read:
             raise PinyinError(f"line {ln}: no readings for {char!r}")
-        entries[char] = tuple(dict.fromkeys((*entries.get(char, ()), *read)))
-    return PinyinTable(entries)
+        keys[char] = tuple(sorted({*keys.get(char, ()), *read}))
+    return keys
 
 
-def default_table() -> PinyinTable:
+def default_table() -> dict[str, tuple[str, ...]]:
     """The table bundled with the package (covers the shipped confusion data)."""
     text = resources.files("udspell.data").joinpath("pinyin.tsv").read_text("utf-8")
     return load_pinyin_table(text.split("\n"))

@@ -18,7 +18,7 @@ from .lattice import Lattice
 _BOS = "\x02"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NgramModel:
     """Add-alpha smoothed char model: P(c | previous ``order`` chars), as
     score_sentence computes it. ``counts`` maps each ``order``-char context to a
@@ -32,7 +32,7 @@ class NgramModel:
     totals: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.totals = {ctx: sum(row.values()) for ctx, row in self.counts.items()}
+        object.__setattr__(self, "totals", {ctx: sum(r.values()) for ctx, r in self.counts.items()})
         if any(len(ctx) != self.order for ctx in self.totals):
             raise ScorerError(f"every context must have exactly {self.order} characters")
         top = max(self.totals.values(), default=0)
@@ -110,7 +110,7 @@ def load_model(stream: Iterable[str] | IO[str]) -> NgramModel:
     return NgramModel(order=order, alpha=alpha, counts=counts, vocab=vocab)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelModel:
     """Keep-or-confuse channel over the observed character's confusion set,
     read once per character and kept with its candidates' log-probabilities."""

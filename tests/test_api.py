@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "EvalRecord",
     "Lattice",
     "NgramModel",
-    "PinyinTable",
     "PruneConfig",
     "UdspellError",
     "UserDictionary",
@@ -101,3 +100,22 @@ def test_no_unused_imports():
                 used.update(ast.literal_eval(node.value))
         unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(bound - used)]
     assert unused == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """No library module takes an underscore name from another, whether by
+    ``from .x import _name`` or as an attribute of a module it imported."""
+    found = []
+    for path in sorted((ROOT / "src" / "udspell").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        own = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and (n.level or n.module.startswith("udspell"))
+        ]
+        names = [a.name for n in own for a in n.names]
+        modules = {a.asname or a.name for n in own if n.module in (None, "udspell") for a in n.names}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) in modules:
+                names.append(n.attr)
+        found += [f"{path.name}: {name}" for name in names if name.startswith("_")]
+    assert found == []

@@ -95,8 +95,7 @@ class TestParser:
         assert {name: getattr(args, name) for name in ecm} == ecm
 
         args = parse(["build-confusion", "--corpus", f])
-        build = params(build_ngram_confusion)
-        assert (args.min_count, not args.no_fuzzy) == (build["min_count"], build["fuzzy"])
+        assert args.min_count == params(build_ngram_confusion)["min_count"]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -117,6 +116,13 @@ class TestExitCodes:
             "1.5",
         )
         assert code == 1
+
+    def test_no_fuzzy_flag_is_refused(self, workdir, capsys):
+        """Exact-match pairing is gone; ignoring the flag would silently change the output."""
+        corpus = str(workdir / "corpus.txt")
+        code, out, err = run(capsys, "build-confusion", "--corpus", corpus, "--no-fuzzy")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --no-fuzzy" in err, err
 
     def test_bad_model_count_is_runtime_error(self, workdir, capsys):
         model = workdir / "model.tsv"

@@ -16,7 +16,7 @@ from udspell.confusion import (
     save_ngram_confusion,
 )
 from udspell.errors import ConfusionError
-from udspell.pinyin import PinyinTable, toneless
+from udspell.pinyin import load_pinyin_table
 
 from conftest import serve_bundled_text
 
@@ -45,7 +45,7 @@ class TestLoadCharConfusion:
 
     def test_dissimilar_phonetic_kept(self, pinyin_table):
         """The table is kept as given: 衣 shares no fuzzy key with 报."""
-        assert not pinyin_table.keys("报") & pinyin_table.keys("衣")
+        assert set(pinyin_table["报"]).isdisjoint(pinyin_table["衣"])
         conf = load_char_confusion(["报\tP\t爆,衣"])
         assert conf.phonetic["报"] == {"爆", "衣"}
 
@@ -58,7 +58,7 @@ class TestLoadCharConfusion:
     def test_bundled_set_satisfies_similarity(self, char_confusion, pinyin_table):
         for char, cands in char_confusion.phonetic.items():
             for cand in cands:
-                assert pinyin_table.keys(char) & pinyin_table.keys(cand), (char, cand)
+                assert set(pinyin_table[char]) & set(pinyin_table[cand]), (char, cand)
                 assert cand != char
 
 
@@ -99,10 +99,8 @@ class TestBuildNgram:
 
     def test_fuzzy_pair_requires_fuzzy(self, pinyin_table):
         corpus = ["四类四类四类", "室内室内室内"]
-        fuzzy = build_ngram_confusion(corpus, pinyin_table, min_count=2)
-        assert "室内" in fuzzy.get("四类", set())
-        exact = build_ngram_confusion(corpus, pinyin_table, min_count=2, fuzzy=False)
-        assert "室内" not in exact.get("四类", set())
+        conf = build_ngram_confusion(corpus, pinyin_table, min_count=2)
+        assert "室内" in conf.get("四类", set())
 
     def test_tiny_corpus_hand_enumeration(self, pinyin_table):
         # only the bigram pair 一年/意念 is confusable among these grams
@@ -133,7 +131,7 @@ class TestBuildNgram:
             build_ngram_confusion(["一年"], pinyin_table, min_count=0)
 
 
-def reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy):
+def reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count):
     """build_ngram_confusion as first written, in three passes: harvest the
     frequent grams, pair grams whose characters are position-wise confusable,
     then segment the corpus into phrases and pair the frequent phrases."""
@@ -155,7 +153,7 @@ def reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy)
         for c in frag:
             if c not in pinyin:
                 return []
-            per_char.append(sorted(pinyin.keys(c, fuzzy)))
+            per_char.append(sorted(pinyin[c]))
         keys = []
         for combo in product(*per_char):
             keys.append(tuple(combo))
@@ -168,7 +166,7 @@ def reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy)
             return True
         if b in char_conf.phonetic.get(a, ()) or a in char_conf.phonetic.get(b, ()):
             return True
-        return bool(pinyin.keys(a, fuzzy) & pinyin.keys(b, fuzzy))
+        return bool(set(pinyin[a]) & set(pinyin[b]))
 
     conf = {}
 
@@ -223,20 +221,19 @@ class TestBuildNgramAgainstReference:
         st.sampled_from(CHARS), st.sets(st.sampled_from(CHARS), max_size=3), max_size=4
     )
 
-    @given(tables, corpora, char_sets, st.integers(1, 3), st.booleans())
+    @given(tables, corpora, char_sets, st.integers(1, 3))
     @example(
         {"甲": ["zha1", "cha2"], "乙": ["za4"], "丙": ["si4", "shi4"], "丁": ["shi4"], "戊": ["ri4"]},
         ["甲丙甲丙", "乙丁乙丁", "甲丁己"],
         {},
         1,
-        True,
     )
     @settings(max_examples=300, deadline=None)
-    def test_same_entries(self, table, corpus, char_sets, min_count, fuzzy):
-        pinyin = PinyinTable({c: tuple(map(toneless, rs)) for c, rs in table.items()})
+    def test_same_entries(self, table, corpus, char_sets, min_count):
+        pinyin = load_pinyin_table([f"{c}\t{','.join(rs)}" for c, rs in table.items()])
         char_conf = CharConfusion(phonetic=char_sets)
-        expected = reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count, fuzzy)
-        got = build_ngram_confusion(corpus, pinyin, min_count=min_count, fuzzy=fuzzy)
+        expected = reference_build_ngram_confusion(corpus, char_conf, pinyin, min_count)
+        got = build_ngram_confusion(corpus, pinyin, min_count=min_count)
         assert got == expected
 
 

@@ -13,7 +13,6 @@ from udspell.pinyin import (
     FINALS,
     FUZZY_KEYS,
     INITIALS,
-    PinyinTable,
     load_pinyin_table,
     toneless,
 )
@@ -166,17 +165,17 @@ class TestRecompose:
 
 def one_reading_table(a, b):
     """Characters 甲 and 乙 with one reading each."""
-    return PinyinTable({"甲": (toneless(a),), "乙": (toneless(b),)})
+    return load_pinyin_table([f"甲\t{a}", f"乙\t{b}"])
 
 
 def similar(table, a, b):
-    """Two characters are similar iff their fuzzy key sets intersect."""
-    return bool(table.keys(a) & table.keys(b))
+    """Two characters are similar iff their fuzzy keys intersect."""
+    return not set(table[a]).isdisjoint(table[b])
 
 
-def keys_equal(a, b, fuzzy=True):
+def keys_equal(a, b):
     table = one_reading_table(a, b)
-    return table.keys("甲", fuzzy) == table.keys("乙", fuzzy)
+    return table["甲"] == table["乙"]
 
 
 class TestPhoneticSimilar:
@@ -194,10 +193,6 @@ class TestPhoneticSimilar:
     def test_tone_ignored(self):
         assert keys_equal("jian1", "jian3")
 
-    def test_fuzzy_can_be_disabled(self):
-        assert not keys_equal("cha1", "ca1", fuzzy=False)
-        assert keys_equal("jian1", "jian3", fuzzy=False)
-
     def test_rl_not_fuzzy(self):
         assert not keys_equal("ri4", "li4")
 
@@ -207,58 +202,55 @@ class TestPhoneticSimilar:
         table = one_reading_table(a, b)
         assert similar(table, "甲", "乙") == similar(table, "乙", "甲")
 
-    @pytest.mark.parametrize("fuzzy", [True, False])
-    def test_reference_equals_key_equality(self, fuzzy):
+    def test_reference_equals_key_equality(self):
         """Over every pair of valid bodies, read in different tones, the rule
-        as first written holds exactly when the keys are equal, and for fuzzy
-        keys exactly when the key sets of one table intersect."""
+        as first written holds exactly when the keys are equal, and exactly
+        when the keys of one table intersect."""
         bodies = sorted(FUZZY_KEYS)
         chars = [chr(0x4E00 + i) for i in range(len(bodies))]
-        first = PinyinTable({c: (toneless(body + "1"),) for c, body in zip(chars, bodies)})
-        second = PinyinTable({c: (toneless(body + "4"),) for c, body in zip(chars, bodies)})
-        keys_a = [first.keys(c, fuzzy) for c in chars]
-        keys_b = [second.keys(c, fuzzy) for c in chars]
+        first = load_pinyin_table([f"{c}\t{body}1" for c, body in zip(chars, bodies)])
+        second = load_pinyin_table([f"{c}\t{body}4" for c, body in zip(chars, bodies)])
+        keys_a = [first[c] for c in chars]
+        keys_b = [second[c] for c in chars]
         splits = [split_body(body) for body in bodies]
         merged = 0
         for i, (a, sa) in enumerate(zip(bodies, splits)):
             for j, (b, sb) in enumerate(zip(bodies, splits)):
                 equal = keys_a[i] == keys_b[j]
-                assert reference_similar(sa, sb, fuzzy) == equal, (a, b)
-                if fuzzy:
-                    assert similar(first, chars[i], chars[j]) == equal, (a, b)
+                assert reference_similar(sa, sb) == equal, (a, b)
+                assert similar(first, chars[i], chars[j]) == equal, (a, b)
                 merged += equal and sa[0] != sb[0]
-        # fuzzy keys merge distinct tone-less spellings; exact keys only tones
-        assert bool(merged) == fuzzy
+        # fuzzy keys merge distinct tone-less spellings, not only tones
+        assert merged
 
 
 class TestPinyinTable:
+    """A table maps each character to the sorted, distinct fuzzy keys of its
+    readings."""
+
     def test_load_and_lookup(self):
         table = load_pinyin_table(["# comment", "插\tcha1", "了\tle5,liao3"])
-        assert table.keys("插", fuzzy=False) == {"cha"}
-        assert table.keys("插") == {"ca"}
-        assert table.keys("了", fuzzy=False) == {"le", "liao"}
-        assert "插" in table and "擦" not in table
+        assert table == {"插": ("ca",), "了": ("le", "liao")}
 
     def test_surrounding_whitespace_and_indented_comments(self):
         table = load_pinyin_table(["  插\tcha1 ", "\t# indented comment", "了\tle5,liao3\n"])
-        assert len(table) == 2 and len(table.keys("了", fuzzy=False)) == 2
+        assert table == {"插": ("ca",), "了": ("le", "liao")}
 
     def test_missing_char_raises(self):
         table = load_pinyin_table(["插\tcha1"])
+        assert table.get("擦") is None
         with pytest.raises(KeyError):
-            table.keys("擦")
+            table["擦"]
 
     def test_bad_line_raises(self):
         with pytest.raises(PinyinError):
             load_pinyin_table(["插插\tcha1"])
 
     def test_repeated_character_keeps_every_line(self):
-        """A character on several lines keeps the distinct bodies of all of
-        them in file order; tone-only polyphones hold one reading."""
+        """A character on several lines keeps the keys of all of them, sorted
+        and distinct, in its first line's place; tone-only polyphones hold one key."""
         table = load_pinyin_table(["行\txing2", "好\thao3,hao4", "行\thang2,xing4"])
-        assert table.keys("行", fuzzy=False) == {"xing", "hang"}
-        assert table.keys("好", fuzzy=False) == {"hao"}
-        assert table._entries == {"行": ("xing", "hang"), "好": ("hao",)}
+        assert list(table.items()) == [("行", ("fang", "xing")), ("好", ("fao",))]
         with pytest.raises(PinyinError, match="line 2: no readings"):
             load_pinyin_table(["行\txing2", "行\t,"])
 
@@ -267,22 +259,20 @@ class TestPinyinTable:
         assert similar(table, "行", "航")
 
     def test_bundled_table_splits_validly(self, pinyin_table):
-        """Each character holds the bodies of its syllables in the file, and
-        each body splits into a known initial and final."""
+        """Each character holds the keys of its syllables in the file, each
+        syllable's body split into a known initial and final and keyed by the
+        reference rule."""
         rows = bundled_rows()
         assert len(rows) == len(pinyin_table)
         for char, sylls in rows:
-            bodies = pinyin_table.keys(char, fuzzy=False)
-            assert bodies == {toneless(s) for s in sylls.split(",")}
-            for body in bodies:
-                ini, fin = split_body(body)
-                assert pinyin_table.keys(char) >= {reference_rep(ini) + fin}
+            splits = [split_body(toneless(s)) for s in sylls.split(",")]
+            keys = {reference_rep(ini) + fin for ini, fin in splits}
+            assert pinyin_table[char] == tuple(sorted(keys)), char
 
     def test_bundled_table_is_split_at_newlines_only(self, monkeypatch):
         # str.splitlines would also split the comment at U+2028
         serve_bundled_text(monkeypatch, pinyin, "# a\u2028b\n甲\tjia3\n")
-        table = pinyin.default_table()
-        assert len(table) == 1 and table.keys("甲", fuzzy=False) == {"jia"}
+        assert pinyin.default_table() == {"甲": ("jia",)}
 
     def test_distinct_syllables_decoded_once(self, monkeypatch):
         calls = []
@@ -290,7 +280,7 @@ class TestPinyinTable:
         monkeypatch.setattr(pinyin, "toneless", lambda s: calls.append(s) or real(s))
         table = load_pinyin_table(["插\tcha1", "叉\tcha1,cha3", "擦\tca1"])
         assert sorted(calls) == ["ca1", "cha1", "cha3"]
-        assert table.keys("叉", fuzzy=False) == {"cha"}
+        assert table == {"插": ("ca",), "叉": ("ca",), "擦": ("ca",)}
 
 
 # The input-method fuzzy pairs, written out apart from the module's own table.
@@ -304,12 +294,12 @@ def reference_rep(initial):
     return _REFERENCE_REP.get(initial, initial)
 
 
-def reference_similar(a, b, fuzzy):
+def reference_similar(a, b):
     """Similarity of two (initial, final) splits as first written: tone-less
     equality, then equal finals with initials in one fuzzy group."""
     if a[0] + a[1] == b[0] + b[1]:
         return True
-    return fuzzy and a[1] == b[1] and reference_rep(a[0]) == reference_rep(b[0])
+    return a[1] == b[1] and reference_rep(a[0]) == reference_rep(b[0])
 
 
 class TestTableSimilar:
@@ -317,10 +307,8 @@ class TestTableSimilar:
     on the split bodies of the bundled table."""
 
     def test_every_bundled_pair(self, pinyin_table):
-        chars = [char for char, _ in bundled_rows()]
-        splits = {c: [split_body(b) for b in pinyin_table.keys(c, fuzzy=False)] for c in chars}
-        for a, b in product(chars, chars):
-            expected = any(
-                reference_similar(x, y, True) for x in splits[a] for y in splits[b]
-            )
+        rows = bundled_rows()
+        splits = {c: [split_body(toneless(s)) for s in sylls.split(",")] for c, sylls in rows}
+        for a, b in product(splits, splits):
+            expected = any(reference_similar(x, y) for x in splits[a] for y in splits[b])
             assert similar(pinyin_table, a, b) == expected, (a, b)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -208,6 +209,24 @@ class TestChannel:
             ch.entry("乙")
         with pytest.raises(ScorerError, match="not one character"):
             score_sentence("甲乙", train(["甲乙"], order=1), ch)
+
+
+class TestFrozen:
+    """Both models check their fields once and derive state from them, so a
+    field cannot be reassigned."""
+
+    def test_channel_p_keep(self):
+        ch = ChannelModel(tiny_confusion(), p_keep=0.9)
+        ch.entry("乙")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ch.p_keep = 0.5
+        assert ch.entry("乙")[1] == pytest.approx((math.log(0.9), math.log(0.1)))
+
+    def test_model_alpha(self):
+        model = train(["甲乙"], order=1, alpha=0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.alpha = 0.0
+        assert model.alpha == 0.1 and model.totals == {"\x02": 1, "甲": 1}
 
 
 class TestScoreSentence:
